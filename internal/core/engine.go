@@ -208,6 +208,13 @@ type Analyzer struct {
 	symmIdx     []int32   // per-class sort permutation scratch
 	symmRaw     []uint64  // raw-key scratch (keyWords words)
 	permArena   []int32   // per-depth witness permutations (len(pc) each)
+
+	// Must-precede pre-check scratch (must.go), allocated on the first
+	// pair query: per-action visit marks tagged with the current search's
+	// epoch, and the backward search's stack.
+	mustSeen  []uint32
+	mustStack []int32
+	mustEpoch uint32
 }
 
 // New preprocesses x for relation queries. The execution must be

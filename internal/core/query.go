@@ -234,21 +234,38 @@ func (a *Analyzer) existsAccepted(q *pairQuery, flags byte, memo *statetab.Table
 	return result, nil
 }
 
-// exists answers the existential primitive for an event pair: is there a
-// feasible execution whose final interval flags satisfy accept?
-func (a *Analyzer) exists(ea, eb model.EventID, accept func(flags byte) bool) (bool, error) {
+// newPairQuery validates an event pair and returns its query.
+func (a *Analyzer) newPairQuery(ea, eb model.EventID, accept func(flags byte) bool) (*pairQuery, error) {
 	if ea == eb {
-		return false, fmt.Errorf("core: query requires distinct events, got %d twice", ea)
+		return nil, fmt.Errorf("core: query requires distinct events, got %d twice", ea)
 	}
 	n := model.EventID(len(a.x.Events))
 	if ea < 0 || ea >= n || eb < 0 || eb >= n {
-		return false, fmt.Errorf("core: event id out of range")
+		return nil, fmt.Errorf("core: event id out of range")
 	}
-	q := &pairQuery{
+	return &pairQuery{
 		aBegin: a.evBeginAct[ea], aEnd: a.evEndAct[ea],
 		bBegin: a.evBeginAct[eb], bEnd: a.evEndAct[eb],
 		accept: accept,
+	}, nil
+}
+
+// exists answers the existential primitive for an event pair: is there a
+// feasible execution whose final interval flags satisfy accept? Queries
+// the constraint graph already refutes (must.go) skip the search.
+func (a *Analyzer) exists(ea, eb model.EventID, accept func(flags byte) bool) (bool, error) {
+	q, err := a.newPairQuery(ea, eb, accept)
+	if err != nil {
+		return false, err
 	}
+	if a.pairExcluded(q) {
+		return false, nil
+	}
+	return a.searchExists(q)
+}
+
+// searchExists answers q by the monitored search from the initial state.
+func (a *Analyzer) searchExists(q *pairQuery) (bool, error) {
 	a.resetState()
 	budget := a.opts.MaxNodes
 	memo := statetab.New(a.keyWords, 0)

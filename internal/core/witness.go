@@ -78,28 +78,19 @@ func (a *Analyzer) witnessSchedule(kind RelKind, ea, eb model.EventID) (Witness,
 		return Witness{}, err
 	}
 	mustHave := kind.MustHave()
-
-	if ea == eb {
-		return Witness{}, fmt.Errorf("core: query requires distinct events, got %d twice", ea)
-	}
-	n := model.EventID(len(a.x.Events))
-	if ea < 0 || ea >= n || eb < 0 || eb >= n {
-		return Witness{}, fmt.Errorf("core: event id out of range")
-	}
-	q := &pairQuery{
-		aBegin: a.evBeginAct[ea], aEnd: a.evEndAct[ea],
-		bBegin: a.evBeginAct[eb], bEnd: a.evEndAct[eb],
-		accept: accept,
-	}
-	a.resetState()
-	budget := a.opts.MaxNodes
-	memo := statetab.New(a.keyWords, 0)
-	path := make([]int32, 0, len(a.acts))
-	found, err := a.witnessSearch(q, 0, memo, &budget, &path)
+	q, err := a.newPairQuery(ea, eb, accept)
 	if err != nil {
 		return Witness{}, err
 	}
-	a.resetState()
+	// Queries the constraint graph already refutes (must.go) skip the
+	// search.
+	var path []int32
+	found := false
+	if !a.pairExcluded(q) {
+		if path, found, err = a.searchWitness(q); err != nil {
+			return Witness{}, err
+		}
+	}
 	if !found {
 		// No accepted interleaving: could-relation false / must-relation true.
 		return Witness{Holds: mustHave}, nil
@@ -119,6 +110,18 @@ func (a *Analyzer) witnessSchedule(kind RelKind, ea, eb model.EventID) (Witness,
 		}
 	}
 	return Witness{Order: order, Steps: steps, Holds: !mustHave}, nil
+}
+
+// searchWitness runs the witness search for q from the initial state and
+// returns the accepted action path it found, if any.
+func (a *Analyzer) searchWitness(q *pairQuery) ([]int32, bool, error) {
+	a.resetState()
+	budget := a.opts.MaxNodes
+	memo := statetab.New(a.keyWords, 0)
+	path := make([]int32, 0, len(a.acts))
+	found, err := a.witnessSearch(q, 0, memo, &budget, &path)
+	a.resetState()
+	return path, found, err
 }
 
 // FormatSteps renders a witness's action schedule with event boundaries,

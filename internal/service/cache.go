@@ -32,6 +32,20 @@ type cacheEntry struct {
 	body []byte
 }
 
+// cacheEntryOverhead is the heap one entry holds beyond its key and body
+// bytes: the cacheEntry and its list.Element (48 B each after size-class
+// rounding) plus the map slot, which costs 25–60 B depending on the map's
+// load. Without it a 70-byte pair result costs about twice its charge and
+// the byte budget does not bound memory.
+const cacheEntryOverhead = 160
+
+// entryCost is the budget charge of caching body under key: the body's
+// capacity (what the heap retains), the key and the fixed per-entry
+// overhead.
+func entryCost(key string, body []byte) int64 {
+	return int64(cap(body)) + int64(len(key)) + cacheEntryOverhead
+}
+
 func newResultCache(budget int64, m *Registry) *resultCache {
 	return &resultCache{
 		budget:    budget,
@@ -61,10 +75,10 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 }
 
 // put inserts body under key, evicting least-recently-used entries until
-// the byte budget holds. Bodies larger than the whole budget are not
-// cached. put is idempotent for an existing key.
+// the byte budget holds. Entries costing more than the whole budget are
+// not cached. put is idempotent for an existing key.
 func (c *resultCache) put(key string, body []byte) {
-	size := int64(len(body)) + int64(len(key))
+	size := entryCost(key, body)
 	if size > c.budget {
 		return
 	}
@@ -82,7 +96,7 @@ func (c *resultCache) put(key string, body []byte) {
 		ev := back.Value.(*cacheEntry)
 		c.order.Remove(back)
 		delete(c.entries, ev.key)
-		c.used -= int64(len(ev.body)) + int64(len(ev.key))
+		c.used -= entryCost(ev.key, ev.body)
 		c.evictions.Add(1)
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, body: body})

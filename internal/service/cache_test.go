@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -30,9 +32,11 @@ func TestCacheHitMissCounting(t *testing.T) {
 }
 
 func TestCacheEvictsLRUUnderByteBudget(t *testing.T) {
-	// Each entry costs len(key)+len(body) = 2+8 = 10 bytes; budget fits 3.
-	c, m := testCache(30)
-	body := bytes.Repeat([]byte("x"), 8)
+	// Each entry costs len(key)+cap(body)+overhead = 2+8+cacheEntryOverhead
+	// bytes; the budget fits 3.
+	const entry = 2 + 8 + cacheEntryOverhead
+	c, m := testCache(3 * entry)
+	body := make([]byte, 8)
 	for i := 0; i < 3; i++ {
 		c.put(fmt.Sprintf("k%d", i), body)
 	}
@@ -53,11 +57,44 @@ func TestCacheEvictsLRUUnderByteBudget(t *testing.T) {
 	if n := m.Counter(MetricCacheEvictions).Value(); n != 1 {
 		t.Errorf("evictions = %d, want 1", n)
 	}
-	if b := m.Gauge(MetricCacheBytes).Value(); b != 30 {
-		t.Errorf("cache_bytes gauge = %d, want 30", b)
+	if b := m.Gauge(MetricCacheBytes).Value(); b != 3*entry {
+		t.Errorf("cache_bytes gauge = %d, want %d", b, 3*entry)
 	}
 	if n := m.Gauge(MetricCacheEntries).Value(); n != 3 {
 		t.Errorf("cache_entries gauge = %d, want 3", n)
+	}
+}
+
+// TestCacheBudgetBoundsHeap fills the cache with ten thousand small pair
+// results, the entries whose fixed overhead outweighs their bytes, and
+// requires the heap the cache retains to stay within its byte budget.
+func TestCacheBudgetBoundsHeap(t *testing.T) {
+	const budget = 1 << 20
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	c, _ := testCache(budget)
+	for i := 0; i < 10000; i++ {
+		body, err := json.Marshal(PairResult{Rel: "MHB", A: fmt.Sprintf("work%d", i%5), B: "collect", Verdict: VerdictTrue, Nodes: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.put(cacheKey(fmt.Sprintf("digest%d", i), "analyze"), body)
+	}
+	growth := heap() - before
+	runtime.KeepAlive(c)
+	if c.len() == 10000 {
+		t.Fatal("budget never evicted; the test does not exercise it")
+	}
+	// Allocation-class rounding and the map's load vary a little around
+	// the overhead constant; a tenth of slack absorbs that, while charging
+	// only key and body bytes retains about twice the budget.
+	if growth > budget+budget/10 {
+		t.Errorf("cache of %d entries retains %d heap bytes, budget %d", c.len(), growth, budget)
 	}
 }
 

@@ -209,12 +209,14 @@ func (s *Server) initDurability() error {
 		if !strings.HasPrefix(key, cacheKeyPrefix) {
 			return true
 		}
-		if cacheBytes+int64(len(payload)) > s.cfg.CacheBytes {
+		ckey := strings.TrimPrefix(key, cacheKeyPrefix)
+		cost := entryCost(ckey, payload)
+		if cacheBytes+cost > s.cfg.CacheBytes {
 			_ = s.blobs.Delete(key)
 			return true
 		}
-		cacheBytes += int64(len(payload))
-		s.cache.put(strings.TrimPrefix(key, cacheKeyPrefix), payload)
+		cacheBytes += cost
+		s.cache.put(ckey, payload)
 		s.metrics.Counter(MetricStoreRehydrated).Add(1)
 		return true
 	}); err != nil {

@@ -414,9 +414,16 @@ type ExecutionSource struct {
 	// Seed seeds the program scheduler (default 1). Ignored with
 	// Execution.
 	Seed int64 `json:"seed,omitempty"`
-	// Tries bounds deadlock-avoiding rescheduling attempts (default 64).
+	// Tries bounds deadlock-avoiding rescheduling attempts (default 64,
+	// at most 256).
 	Tries int `json:"tries,omitempty"`
 }
+
+// maxTries is the largest ExecutionSource.Tries a request may ask for;
+// larger values are rejected with 400. Each try is a full interpreter run
+// in the request handler, before admission and outside the request
+// deadline, so a program that always deadlocks costs up to maxTries runs.
+const maxTries = 256
 
 // AnalyzeRequest is the body of POST /v1/analyze.
 type AnalyzeRequest struct {
@@ -769,6 +776,9 @@ func (s *Server) resolveExecution(src *ExecutionSource) (*model.Execution, strin
 	case src.Program != "" && src.Execution != nil:
 		return nil, "", fmt.Errorf("service: give either program or execution, not both")
 	case src.Program != "":
+		if src.Tries > maxTries {
+			return nil, "", fmt.Errorf("service: tries %d exceeds the maximum of %d", src.Tries, maxTries)
+		}
 		prog, err := lang.Parse(src.Program)
 		if err != nil {
 			return nil, "", err

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,8 +120,22 @@ func TestAnalyzeFigure1Pair(t *testing.T) {
 	if env.SchemaVersion != SchemaVersion {
 		t.Errorf("schemaVersion = %d, want %d", env.SchemaVersion, SchemaVersion)
 	}
-	if pair.Nodes <= 0 {
-		t.Errorf("no search effort reported: %+v", pair)
+
+	// Figure 1's ordering is F3's X dependence, which the engine's
+	// structural pre-check decides without searching; a semaphore-ordered
+	// pair needs the search, and the result reports its effort.
+	resp, body = postJSON(t, ts.URL+"/v1/analyze", map[string]any{
+		"program": readTestdataProgram(t, "handshake.evo"), "rel": "MHB", "a": "a", "b": "b",
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("handshake status %d: %s", resp.StatusCode, body)
+	}
+	var searched PairResult
+	if err := json.Unmarshal(decodeEnvelope(t, body).Result, &searched); err != nil {
+		t.Fatal(err)
+	}
+	if searched.Verdict != VerdictTrue || searched.Nodes <= 0 {
+		t.Errorf("handshake a MHB b = %+v, want verdict true with search effort reported", searched)
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v1/analyze", req)
@@ -687,6 +702,38 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestTriesLimit pins the cap on deadlock-avoiding retries: a program
+// request asking for more than maxTries is rejected with 400 before the
+// interpreter runs, on every endpoint that runs programs, while maxTries
+// itself is accepted.
+func TestTriesLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	deadlocks := "sem s = 0\nproc main { P(s) }"
+	for _, path := range []string{"/v1/analyze", "/v1/races", "/v1/witness"} {
+		req := map[string]any{"program": deadlocks, "tries": 1 << 30}
+		if path != "/v1/races" {
+			req["rel"], req["a"], req["b"] = "MHB", "x", "y"
+		}
+		resp, body := postJSON(t, ts.URL+path, req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", path, resp.StatusCode, body)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("tries %d exceeds the maximum of %d", 1<<30, maxTries); !strings.Contains(e.Error, want) {
+			t.Errorf("%s: error %q, want it to contain %q", path, e.Error, want)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{
+		"program": figure1Program(t), "tries": maxTries, "rel": "MHB", "a": "lp", "b": "rp",
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("tries=maxTries: status %d, want 200: %s", resp.StatusCode, body)
+	}
+}
+
 // TestBudgetExceeded pins the budget split: a per-pair query still maps
 // core.ErrBudget to 422 (there is no partial value to return), while the
 // matrix path answers 200 with an anytime partial.
@@ -696,8 +743,10 @@ func TestBudgetExceeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{Workers: 1})
+	// A semaphore-ordered pair: the search, not the structural pre-check,
+	// decides it, so the node budget applies.
 	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{
-		"program": figure1Program(t), "rel": "MHB", "a": "lp", "b": "rp", "budget": 1,
+		"program": readTestdataProgram(t, "handshake.evo"), "rel": "MHB", "a": "a", "b": "b", "budget": 1,
 	})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("pair budget: status %d, want 422: %s", resp.StatusCode, body)
@@ -749,8 +798,8 @@ func TestHealthzAndMetricsShape(t *testing.T) {
 	if !ok || h.Count < 1 {
 		t.Errorf("latency histogram missing or empty: %+v", snap.Histograms)
 	}
-	// The pair query above ran a real search, so its completion-memo
-	// occupancy must have been exported.
+	// The matrix query above filled its analyzer's completion memo, so
+	// the occupancy gauges must have been exported.
 	if snap.Gauges[MetricMemoEntries] <= 0 || snap.Gauges[MetricMemoBytes] <= 0 {
 		t.Errorf("memo occupancy gauges not exported: %+v", snap.Gauges)
 	}

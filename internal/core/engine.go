@@ -215,6 +215,11 @@ type Analyzer struct {
 	mustSeen  []uint32
 	mustStack []int32
 	mustEpoch uint32
+	// Supply edges (must.go), derived with the scratch: the V actions that
+	// semaphore counting forces before P action id are
+	// supplyPred[supplySpan[id].lo:supplySpan[id].hi].
+	supplySpan []supplySpan
+	supplyPred []int32
 }
 
 // New preprocesses x for relation queries. The execution must be

@@ -45,3 +45,19 @@ func (a *Analyzer) SearchWitness(kind RelKind, ea, eb model.EventID) (bool, erro
 	_, found, err := a.searchWitness(q)
 	return found, err
 }
+
+// SupplyEdges derives the pre-check's supply edges, if no pair query has
+// yet, and returns how many there are.
+func (a *Analyzer) SupplyEdges() int {
+	if a.mustSeen == nil {
+		a.initMust()
+	}
+	return len(a.supplyPred)
+}
+
+// DropPrecheck discards the pre-check scratch and supply edges, so the
+// next pair query derives them again as on a fresh analyzer.
+func (a *Analyzer) DropPrecheck() {
+	a.mustSeen, a.mustStack, a.mustEpoch = nil, nil, 0
+	a.supplySpan, a.supplyPred = nil, nil
+}

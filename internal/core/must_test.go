@@ -69,6 +69,15 @@ func precheckCases(t *testing.T) []precheckCase {
 		x, err := gen.ForkJoinTree(n)
 		add(fmt.Sprintf("forkjoin%d", n), x, err)
 	}
+	// Shapes where semaphore counting fires differently from the barrier:
+	// one consumer fed by two producers, binary semaphores, and an initial
+	// value high enough that no P needs a V (need ≤ 0).
+	x, err := gen.ProducerConsumer(2, 1, 2)
+	add("prodcons2x1x2", x, err)
+	x, err = binaryHandoff()
+	add("binaryhandoff", x, err)
+	x, err = gen.SingleSem(2, 1, 2, 2)
+	add("singlesem-init2", x, err)
 	rng := rand.New(rand.NewSource(1404))
 	for i := 0; i < 12; i++ {
 		x, err := gen.RandomProgramExecution(rng, gen.RandomProgramOptions{
@@ -77,6 +86,28 @@ func precheckCases(t *testing.T) []precheckCase {
 		add(fmt.Sprintf("random%d", i), x, err)
 	}
 	return cases
+}
+
+// binaryHandoff builds a hand-off over binary semaphores: s (initially 0)
+// passes control from sender to receiver, and m (initially 1) guards one
+// critical section in each.
+func binaryHandoff() (*model.Execution, error) {
+	b := model.NewBuilder()
+	b.Sem("s", 0, model.SemBinary)
+	b.Sem("m", 1, model.SemBinary)
+	sender := b.Proc("sender")
+	sender.Label("a").Nop()
+	sender.V("s")
+	sender.P("m")
+	sender.Label("c").Nop()
+	sender.V("m")
+	receiver := b.Proc("receiver")
+	receiver.P("s")
+	receiver.Label("b").Nop()
+	receiver.P("m")
+	receiver.Label("d").Nop()
+	receiver.V("m")
+	return b.Build()
 }
 
 // primitiveOf maps each relation to the relation whose search primitive it
@@ -206,6 +237,73 @@ func TestPrecheckWitness(t *testing.T) {
 	}
 }
 
+// TestSupplyEdges pins the V→P edges semaphore counting derives. At a
+// barrier the coordinator's last P(arrive) needs every worker's V(arrive)
+// and each worker's P(release) needs the coordinator's first V(release):
+// 2n edges, which answer every cross-barrier MHB(before_i, after_j) with
+// no search node. On a semaphore initialised to 1, a process's second P
+// follows another process's only V, while its first P may take the
+// initial token.
+func TestSupplyEdges(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		x, err := gen.Barrier(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.New(x, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.SupplyEdges(); got != 2*n {
+			t.Errorf("barrier%d: %d supply edges, want %d", n, got, 2*n)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				before := x.MustEventByLabel(fmt.Sprintf("before%d", i)).ID
+				after := x.MustEventByLabel(fmt.Sprintf("after%d", j)).ID
+				a.ResetStats()
+				mhb, err := a.MHB(before, after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !mhb || a.Stats().Nodes != 0 {
+					t.Errorf("barrier%d: MHB(before%d, after%d) = %v with %d nodes, want true with none",
+						n, i, j, mhb, a.Stats().Nodes)
+				}
+			}
+		}
+	}
+
+	b := model.NewBuilder()
+	b.Sem("s", 1, model.SemCounting)
+	taker := b.Proc("taker")
+	taker.P("s")
+	taker.Label("x").Nop()
+	taker.P("s")
+	taker.Label("y").Nop()
+	giver := b.Proc("giver")
+	giver.Label("g").Nop()
+	giver.V("s")
+	x, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.New(x, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.SupplyEdges(); got != 1 {
+		t.Errorf("second P: %d supply edges, want 1", got)
+	}
+	g, ex, ey := x.MustEventByLabel("g").ID, x.MustEventByLabel("x").ID, x.MustEventByLabel("y").ID
+	if mhb, err := a.MHB(g, ey); err != nil || !mhb || a.Stats().Nodes != 0 {
+		t.Errorf("MHB(g, y) = %v, %v with %d nodes, want true with none", mhb, err, a.Stats().Nodes)
+	}
+	if mhb, err := a.MHB(g, ex); err != nil || mhb {
+		t.Errorf("MHB(g, x) = %v, %v, want false: the first P may take the initial token", mhb, err)
+	}
+}
+
 func label(x *model.Execution, e model.EventID) string {
 	if l := x.Events[e].Label; l != "" {
 		return l
@@ -214,7 +312,9 @@ func label(x *model.Execution, e model.EventID) string {
 }
 
 // BenchmarkPairPrecheck times the pre-check alone, per query, over every
-// (relation, ordered pair) query of the pair benchmark's two traces.
+// (relation, ordered pair) query of the pair benchmark's two traces, and
+// the first pair query of an analyzer, which also allocates the scratch
+// and derives the supply edges.
 func BenchmarkPairPrecheck(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -251,6 +351,39 @@ func BenchmarkPairPrecheck(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")
+		})
+	}
+	// The derivation is linear in the synchronization actions apart from
+	// a sort of each semaphore's suppliers, so ns/sync-action should stay
+	// flat from 100 to 1000 workers. core.New runs once, outside the
+	// timer; DropPrecheck returns the analyzer to its fresh state.
+	for _, n := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("first/barrier%d", n), func(b *testing.B) {
+			x, err := gen.Barrier(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := core.New(x, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			syncActs := 0
+			for i := range x.Events {
+				if x.Events[i].IsSync() {
+					syncActs++
+				}
+			}
+			before, after := x.MustEventByLabel("before0").ID, x.MustEventByLabel("after1").ID
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a.DropPrecheck()
+				b.StartTimer()
+				if _, err := a.PairExcluded(core.RelMHB, before, after); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*syncActs), "ns/sync-action")
 		})
 	}
 }

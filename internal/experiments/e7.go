@@ -23,29 +23,18 @@ func runE7(cfg Config) error {
 	if cfg.Quick {
 		sizes = []int{1, 2}
 	}
-	// Workload: one semaphore-enforced ordering a → b plus n independent
-	// "noise" processes. The measured query is MHB(a, b): a must-have
-	// property, so the engine has to refute the existence of a violating
-	// interleaving across the whole space — and the noise processes are
-	// unrelated to a and b, so every interleaving of theirs yields a fresh
-	// state while the monitor is still unresolved. Nodes grow exponentially
-	// in n; the polynomial analyses barely notice.
-	t := newTable(cfg.Out, "procs", "events", "actions",
+	// Workload: a semaphore-enforced ordering a → b through two relays
+	// plus n independent "noise" processes (e7Instance). The measured
+	// query is MHB(a, b): a must-have property, so the engine has to refute
+	// the existence of a violating interleaving across the whole space —
+	// and the noise processes are unrelated to a and b, so every
+	// interleaving of theirs yields a fresh state while the monitor is
+	// still unresolved. Nodes grow exponentially in n; the polynomial
+	// analyses barely notice.
+	t := newTable(cfg.Out, "instance", "procs", "events", "actions",
 		"exact MHB query nodes", "exact time", "HMW3 full time", "VC full time")
-	for _, n := range sizes {
-		b := model.NewBuilder()
-		b.Sem("s", 0, model.SemCounting)
-		pa := b.Proc("pa")
-		pa.Label("a").Nop()
-		pa.V("s")
-		pb := b.Proc("pb")
-		pb.P("s")
-		pb.Label("b").Nop()
-		for i := 0; i < n; i++ {
-			noise := b.Proc(fmt.Sprintf("noise%d", i))
-			noise.Nop()
-		}
-		x, err := b.Build()
+	measure := func(name string, n int, twoSuppliers bool) error {
+		x, err := e7Instance(n, twoSuppliers)
 		if err != nil {
 			return err
 		}
@@ -76,10 +65,21 @@ func runE7(cfg Config) error {
 		}
 		vcTime := time.Since(start)
 
-		t.row(x.NumProcs(), x.NumEvents(), a.NumActions(), nodes,
+		t.row(name, x.NumProcs(), x.NumEvents(), a.NumActions(), nodes,
 			exactTime.Round(time.Microsecond),
 			hmwTime.Round(time.Microsecond),
 			vcTime.Round(time.Microsecond))
+		return nil
+	}
+	for _, n := range sizes {
+		if err := measure("two suppliers", n, true); err != nil {
+			return err
+		}
+	}
+	// The single-supplier instance is decided by counting alone: the
+	// pre-check's supply edge answers it without search at any size.
+	if err := measure("one supplier", sizes[len(sizes)-1], false); err != nil {
+		return err
 	}
 	t.flush()
 	fmt.Fprintln(cfg.Out, "claim reproduced: exact per-pair decisions blow up exponentially with the")
@@ -143,6 +143,39 @@ func runE7(cfg Config) error {
 	fmt.Fprintln(cfg.Out, "past the wall only the witness-style (could-have) queries and the")
 	fmt.Fprintln(cfg.Out, "polynomial approximations remain usable — the theorems, operationally.")
 	return nil
+}
+
+// e7Instance builds E7's scaling workload: a ordered before b through
+// semaphores, plus n noise processes with one computation event each. With
+// twoSuppliers, pa runs a then V(t) twice, relay0 and relay1 each run
+// P(t); V(s), and pb runs P(s) then b: MHB(a, b) holds, but counting
+// cannot tell which relay feeds b, so the search must refute every
+// violating interleaving. Without, pa runs a; V(s) and pb's P(s) can take
+// only that V, which the pre-check's supply edges decide without search.
+func e7Instance(n int, twoSuppliers bool) (*model.Execution, error) {
+	b := model.NewBuilder()
+	b.Sem("s", 0, model.SemCounting)
+	pa := b.Proc("pa")
+	pa.Label("a").Nop()
+	if twoSuppliers {
+		b.Sem("t", 0, model.SemCounting)
+		pa.V("t")
+		pa.V("t")
+		for i := 0; i < 2; i++ {
+			relay := b.Proc(fmt.Sprintf("relay%d", i))
+			relay.P("t")
+			relay.V("s")
+		}
+	} else {
+		pa.V("s")
+	}
+	pb := b.Proc("pb")
+	pb.P("s")
+	pb.Label("b").Nop()
+	for i := 0; i < n; i++ {
+		b.Proc(fmt.Sprintf("noise%d", i)).Nop()
+	}
+	return b.Build()
 }
 
 // reductionBuild is a tiny helper keeping the wall loop readable.

@@ -11,10 +11,10 @@ import (
 
 // TestPrecheckLeavesTimedQueriesToSearch guards what the experiments
 // measure. The per-pair engine answers some queries from program order,
-// fork/join and data dependences alone, without searching. The queries
-// E2–E4 and E7 time exercise the hardness of choosing which V or Post
-// satisfies which P or Wait, so the pre-check must decide none of them:
-// each must still expand search nodes.
+// fork/join, data dependences and semaphore counting alone, without
+// searching. The queries E2–E4 and E7 time exercise the hardness of
+// choosing which V or Post satisfies which P or Wait, so the pre-check
+// must decide none of them: each must still expand search nodes.
 func TestPrecheckLeavesTimedQueriesToSearch(t *testing.T) {
 	requireSearched := func(name string, x *model.Execution, opts core.Options, query string, ea, eb model.EventID) {
 		t.Helper()
@@ -59,24 +59,30 @@ func TestPrecheckLeavesTimedQueriesToSearch(t *testing.T) {
 	}
 	t.Logf("%d reduction queries, all searched", queries)
 
-	// E7: one semaphore-ordered pair plus n independent noise processes.
+	// E7: the two-supplier ordering plus n independent noise processes.
 	for n := 1; n <= 7; n++ {
-		b := model.NewBuilder()
-		b.Sem("s", 0, model.SemCounting)
-		pa := b.Proc("pa")
-		pa.Label("a").Nop()
-		pa.V("s")
-		pb := b.Proc("pb")
-		pb.P("s")
-		pb.Label("b").Nop()
-		for i := 0; i < n; i++ {
-			b.Proc(fmt.Sprintf("noise%d", i)).Nop()
-		}
-		x, err := b.Build()
+		x, err := e7Instance(n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSearched(fmt.Sprintf("E7 noise=%d", n), x, core.Options{}, "mhb",
 			x.MustEventByLabel("a").ID, x.MustEventByLabel("b").ID)
+	}
+
+	// E7's single-supplier row: b's P(s) can take only pa's V(s), so the
+	// pre-check's supply edge decides MHB(a, b) without search.
+	x, err := e7Instance(7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.New(x, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mhb, err := a.MHB(x.MustEventByLabel("a").ID, x.MustEventByLabel("b").ID); err != nil || !mhb {
+		t.Fatalf("E7 single supplier: MHB(a, b) = %v, %v, want true", mhb, err)
+	}
+	if nodes := a.Stats().Nodes; nodes != 0 {
+		t.Errorf("E7 single supplier: MHB(a, b) expanded %d nodes, want 0", nodes)
 	}
 }

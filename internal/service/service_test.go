@@ -122,20 +122,21 @@ func TestAnalyzeFigure1Pair(t *testing.T) {
 	}
 
 	// Figure 1's ordering is F3's X dependence, which the engine's
-	// structural pre-check decides without searching; a semaphore-ordered
-	// pair needs the search, and the result reports its effort.
+	// structural pre-check decides without searching; whether one critical
+	// section can precede the other depends on which V each P takes, so
+	// the search decides it, and the result reports its effort.
 	resp, body = postJSON(t, ts.URL+"/v1/analyze", map[string]any{
-		"program": readTestdataProgram(t, "handshake.evo"), "rel": "MHB", "a": "a", "b": "b",
+		"program": readTestdataProgram(t, "singlesem.evo"), "rel": "CHB", "a": "csa", "b": "csb",
 	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("handshake status %d: %s", resp.StatusCode, body)
+		t.Fatalf("singlesem status %d: %s", resp.StatusCode, body)
 	}
 	var searched PairResult
 	if err := json.Unmarshal(decodeEnvelope(t, body).Result, &searched); err != nil {
 		t.Fatal(err)
 	}
 	if searched.Verdict != VerdictTrue || searched.Nodes <= 0 {
-		t.Errorf("handshake a MHB b = %+v, want verdict true with search effort reported", searched)
+		t.Errorf("singlesem csa CHB csb = %+v, want verdict true with search effort reported", searched)
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v1/analyze", req)
@@ -743,10 +744,10 @@ func TestBudgetExceeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{Workers: 1})
-	// A semaphore-ordered pair: the search, not the structural pre-check,
-	// decides it, so the node budget applies.
+	// A pair the search, not the structural pre-check, decides, so the
+	// node budget applies.
 	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{
-		"program": readTestdataProgram(t, "handshake.evo"), "rel": "MHB", "a": "a", "b": "b", "budget": 1,
+		"program": readTestdataProgram(t, "singlesem.evo"), "rel": "CHB", "a": "csa", "b": "csb", "budget": 1,
 	})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("pair budget: status %d, want 422: %s", resp.StatusCode, body)

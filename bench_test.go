@@ -792,15 +792,11 @@ func BenchmarkMatrix_RelationParallel(b *testing.B) {
 // the feasibility space answers every pair (and all six kinds) at once.
 func BenchmarkMatrix_Batch(b *testing.B) {
 	x := matrixBenchWorkload(b)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				a := mustAnalyzer(b, x, core.Options{})
-				if _, err := a.Matrix(context.Background(), []core.RelKind{core.RelCCW}, core.MatrixOpts{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		a := mustAnalyzer(b, x, core.Options{})
+		if _, err := a.Matrix(context.Background(), []core.RelKind{core.RelCCW}, core.MatrixOpts{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -811,7 +807,7 @@ func BenchmarkMatrix_BatchAllKinds(b *testing.B) {
 	x := matrixBenchWorkload(b)
 	for i := 0; i < b.N; i++ {
 		a := mustAnalyzer(b, x, core.Options{})
-		if _, err := a.Matrix(context.Background(), nil, core.MatrixOpts{Workers: 4}); err != nil {
+		if _, err := a.Matrix(context.Background(), nil, core.MatrixOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,21 +1,10 @@
-// Command bench measures the batch matrix engine (Analyzer.Matrix) against
-// the per-pair baselines and writes the comparison as JSON (BENCH_matrix.json
-// at the repo root is the committed artifact).
-//
-// Three strategies compute the same full CCW matrix on each workload:
-//
-//	sequential — one Decide per ordered pair on a single goroutine, the
-//	             engine's original full-matrix path (Analyzer.Relation)
-//	parallel   — per-pair decisions sharded over worker goroutines, each
-//	             pair still a from-scratch search (an inline baseline
-//	             reproducing the deleted core.RelationParallel path)
-//	matrix     — Analyzer.Matrix: one shared exploration of the feasibility
-//	             state space answers every pair at once, fanned out over
-//	             workers on a striped memo table
+// Command bench measures the batch matrix engine (Analyzer.Matrix) on each
+// workload's full CCW matrix and writes the report as JSON
+// (BENCH_matrix.json at the repo root is the committed artifact).
 //
 // Usage:
 //
-//	go run ./cmd/bench [-o BENCH_matrix.json] [-reps 3] [-workers 1,2,4,8]
+//	go run ./cmd/bench [-o BENCH_matrix.json] [-reps 3]
 //	                   [-baseline old.json] [-no-por] [-no-symm] [-procs N]
 //	                   [-assert-symm-ge 1.0]
 //	                   [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -37,18 +26,18 @@
 // verified-results count quantify what crash safety costs and buys (the
 // EXPERIMENTS E20 numbers).
 //
-// Median-of-reps wall-clock per strategy is reported, plus the speedup of
-// matrix over parallel at each worker count, node throughput
+// Median-of-reps matrix wall-clock is reported, plus node throughput
 // (states/second through the batch engine), explored node and edge counts
 // with the sleep-set reduction's on/off edge comparison (states are
 // identical either way; edges are what reduction prunes), the symmetry
 // reduction's on/off state comparison (process-symmetry orbit collapsing
 // shrinks the state count itself, reported as symm_state_reduction), and
 // heap allocations per expanded state. -no-por disables the sleep-set
-// reduction in every strategy and -no-symm the orbit collapsing; each
-// drops its comparison columns. -procs pins GOMAXPROCS for the whole run
-// (the report records the effective value, so committed artifacts are
-// honest about the parallelism they measured). -assert-symm-ge fails the
+// reduction in every run and -no-symm the orbit collapsing; each drops its
+// comparison columns. -procs pins GOMAXPROCS for the whole run; the report
+// records the effective value, NumCPU, and whether GOMAXPROCS exceeds
+// NumCPU (oversubscribed), so committed artifacts are honest about the
+// hardware they measured. -assert-symm-ge fails the
 // run if any case's symm_state_reduction falls below the given bound — a
 // CI hook keeping the collapse from silently regressing. -baseline points at a
 // previous report (same schema); its per-case matrix timings and
@@ -76,8 +65,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"eventorder/internal/core"
@@ -99,51 +86,46 @@ type caseResult struct {
 	Events int    `json:"events"`
 	Pairs  int    `json:"ordered_pairs"`
 
-	SequentialMS float64            `json:"sequential_ms"`
-	ParallelMS   map[string]float64 `json:"relation_parallel_ms"`
-	MatrixMS     map[string]float64 `json:"matrix_ms"`
-
-	// SpeedupVsParallel is parallel/matrix wall-clock at the same width.
-	SpeedupVsParallel map[string]float64 `json:"speedup_vs_parallel"`
-	// MatrixNodes is the distinct states the batch engine expanded (the
-	// shared exploration's size; per-pair strategies re-pay search per pair).
+	// MatrixMS is the median Analyzer.Matrix wall-clock.
+	MatrixMS float64 `json:"matrix_ms"`
+	// MatrixNodes is the distinct states the batch engine expanded.
 	MatrixNodes int64 `json:"matrix_nodes"`
 	// MatrixEdges is the successor transitions the batch engine explored —
 	// the quantity sleep-set partial-order reduction prunes. States are
 	// identical with reduction on or off; edges are not.
 	MatrixEdges int64 `json:"explored_edges"`
 	// MatrixEdgesNoPOR is MatrixEdges with reduction disabled, and
-	// MatrixNoPORMS the corresponding single-run wall-clock per worker
-	// count; EdgeReduction is their ratio (off/on). Omitted under -no-por,
-	// where the main columns already measure the unreduced engine.
-	MatrixEdgesNoPOR int64              `json:"explored_edges_nopor,omitempty"`
-	MatrixNoPORMS    map[string]float64 `json:"matrix_nopor_ms,omitempty"`
-	EdgeReduction    float64            `json:"edge_reduction,omitempty"`
+	// MatrixNoPORMS the corresponding wall-clock; EdgeReduction is their
+	// ratio (off/on). Omitted under -no-por, where the main columns
+	// already measure the unreduced engine.
+	MatrixEdgesNoPOR int64   `json:"explored_edges_nopor,omitempty"`
+	MatrixNoPORMS    float64 `json:"matrix_nopor_ms,omitempty"`
+	EdgeReduction    float64 `json:"edge_reduction,omitempty"`
 	// MatrixNodesNoSymm is MatrixNodes with process-symmetry orbit
 	// collapsing disabled — the full state count the orbit-canonical
 	// representatives stand for — and MatrixNoSymmMS the corresponding
-	// wall-clock per worker count; SymmStateReduction is their ratio
-	// (off/on), exactly 1 when the trace has no provable process
-	// symmetry. Omitted under -no-symm, where the main columns already
-	// measure the uncollapsed engine.
-	MatrixNodesNoSymm  int64              `json:"matrix_nodes_nosymm,omitempty"`
-	MatrixNoSymmMS     map[string]float64 `json:"matrix_nosymm_ms,omitempty"`
-	SymmStateReduction float64            `json:"symm_state_reduction,omitempty"`
+	// wall-clock; SymmStateReduction is their ratio (off/on), exactly 1
+	// when the trace has no provable process symmetry. Omitted under
+	// -no-symm, where the main columns already measure the uncollapsed
+	// engine.
+	MatrixNodesNoSymm  int64   `json:"matrix_nodes_nosymm,omitempty"`
+	MatrixNoSymmMS     float64 `json:"matrix_nosymm_ms,omitempty"`
+	SymmStateReduction float64 `json:"symm_state_reduction,omitempty"`
 	// MatrixNodesPerSec is batch node throughput (MatrixNodes over matrix
-	// wall-clock) per worker count — the honest cross-version comparison
-	// axis, since the exploration visits the same states either way.
-	MatrixNodesPerSec map[string]float64 `json:"matrix_nodes_per_sec"`
+	// wall-clock) — the honest cross-version comparison axis, since the
+	// exploration visits the same states either way.
+	MatrixNodesPerSec float64 `json:"matrix_nodes_per_sec"`
 	// MatrixAllocsPerNode is heap allocations per expanded state during a
-	// single-worker Matrix run (measured with runtime.MemStats around a
-	// dedicated run, not the timed reps).
+	// Matrix run (measured with runtime.MemStats around a dedicated run,
+	// not the timed reps).
 	MatrixAllocsPerNode float64 `json:"matrix_allocs_per_node"`
 
 	// Planner bracket columns. PlanTierFrac is the fraction of ordered
 	// pairs each polynomial tier decided for the benched relation (keys
 	// "static", "observed", "dag"); PlanPolyFrac is their sum and
 	// PlanResiduePairs the pairs only the exact engine could settle.
-	// PlanOnMS / PlanOffMS are single-worker matrix wall-clock with the
-	// cascade enabled and disabled (the verdicts are identical — the
+	// PlanOnMS / PlanOffMS are matrix wall-clock with the cascade enabled
+	// and disabled (the verdicts are identical — the
 	// planner is a work-avoidance bracket, not an approximation).
 	PlanTierFrac     map[string]float64 `json:"plan_tier_frac"`
 	PlanPolyFrac     float64            `json:"plan_poly_frac"`
@@ -153,8 +135,8 @@ type caseResult struct {
 
 	// Anytime columns: the fraction of ordered pairs whose CCW verdict is
 	// already decided when the analysis is stopped at 1/4 and 1/2 of the
-	// full run's state budget (MatrixNodes), single worker, through the
-	// default planned path — the value curve of the partial-result API.
+	// full run's state budget (MatrixNodes), through the default planned
+	// path — the value curve of the partial-result API.
 	// The floor of the curve is the planner's polynomial fraction: those
 	// pairs are decided before the exponential engine expands anything.
 	AnytimeQuarterFrac float64 `json:"anytime_decided_frac_quarter"`
@@ -162,31 +144,31 @@ type caseResult struct {
 
 	// Baseline columns, present only when -baseline was given and had this
 	// case: the old matrix wall-clock, node/edge counts, and node
-	// throughput, and the new-over-old throughput ratio at each worker
-	// count.
-	BaselineMatrixMS    map[string]float64 `json:"baseline_matrix_ms,omitempty"`
-	BaselineNodes       int64              `json:"baseline_nodes,omitempty"`
-	BaselineEdges       int64              `json:"baseline_edges,omitempty"`
-	BaselineNodesPerSec map[string]float64 `json:"baseline_nodes_per_sec,omitempty"`
-	ThroughputGain      map[string]float64 `json:"throughput_gain_vs_baseline,omitempty"`
+	// throughput, and the new-over-old throughput ratio.
+	BaselineMatrixMS    float64 `json:"baseline_matrix_ms,omitempty"`
+	BaselineNodes       int64   `json:"baseline_nodes,omitempty"`
+	BaselineEdges       int64   `json:"baseline_edges,omitempty"`
+	BaselineNodesPerSec float64 `json:"baseline_nodes_per_sec,omitempty"`
+	ThroughputGain      float64 `json:"throughput_gain_vs_baseline,omitempty"`
 }
 
 type report struct {
-	Kind        string       `json:"kind"`
-	Workers     []int        `json:"workers"`
-	Reps        int          `json:"reps"`
-	GoMaxProcs  int          `json:"gomaxprocs"`
-	NumCPU      int          `json:"numcpu"`
-	DisablePOR  bool         `json:"disable_por,omitempty"`
-	DisableSymm bool         `json:"disable_symm,omitempty"`
-	Baseline    string       `json:"baseline,omitempty"`
-	Cases       []caseResult `json:"cases"`
+	Kind       string `json:"kind"`
+	Reps       int    `json:"reps"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"numcpu"`
+	// Oversubscribed flags a GOMAXPROCS above NumCPU: the timings then
+	// include oversubscription.
+	Oversubscribed bool         `json:"oversubscribed"`
+	DisablePOR     bool         `json:"disable_por,omitempty"`
+	DisableSymm    bool         `json:"disable_symm,omitempty"`
+	Baseline       string       `json:"baseline,omitempty"`
+	Cases          []caseResult `json:"cases"`
 }
 
 func main() {
 	out := flag.String("o", "BENCH_matrix.json", "output path")
 	reps := flag.Int("reps", 3, "repetitions per measurement (median reported)")
-	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated worker counts")
 	baselinePath := flag.String("baseline", "", "previous report to embed as before/after columns")
 	noPOR := flag.Bool("no-por", false, "disable sleep-set partial-order reduction in every strategy (drops the on/off comparison columns)")
 	noSymm := flag.Bool("no-symm", false, "disable process-symmetry orbit collapsing in every strategy (drops the on/off comparison columns)")
@@ -218,10 +200,6 @@ func main() {
 		return
 	}
 
-	workers, err := parseWorkers(*workersFlag)
-	if err != nil {
-		fatal(err)
-	}
 	if *procs > 0 {
 		runtime.GOMAXPROCS(*procs)
 	}
@@ -252,7 +230,6 @@ func main() {
 
 	rep := report{
 		Kind:        core.RelCCW.String(),
-		Workers:     workers,
 		Reps:        *reps,
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
@@ -260,9 +237,10 @@ func main() {
 		DisableSymm: *noSymm,
 		Baseline:    *baselinePath,
 	}
+	rep.Oversubscribed = rep.GoMaxProcs > rep.NumCPU
 	for _, c := range cases {
 		fmt.Fprintf(os.Stderr, "== %s (%d procs, %d events)\n", c.name, len(c.x.Procs), len(c.x.Events))
-		res, err := runCase(c, workers, *reps, baseline, *noPOR, *noSymm)
+		res, err := runCase(c, *reps, baseline, *noPOR, *noSymm)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", c.name, err))
 		}
@@ -318,13 +296,11 @@ func loadBaseline(path string) (*report, error) {
 }
 
 // workloads returns the benchmark instances. Barrier and fork/join
-// instances are the interesting ones: their matrices force every strategy
-// through a state space that per-pair search re-explores from scratch for
-// each of the O(n²) pairs — the redundancy the batch engine removes — and
-// their concurrency gives sleep-set reduction commuting edges to prune.
-// The mutex and pipeline instances show the other regime: nearly (mutex)
-// or fully (pipeline) serialized spaces where per-pair search is fast and
-// reduction finds nothing to cut. When testdataDir is non-empty, every
+// instances are the interesting ones: their matrices force the engine
+// through large state spaces, and their concurrency gives sleep-set
+// reduction commuting edges to prune. The mutex and pipeline instances
+// show the other regime: nearly (mutex) or fully (pipeline) serialized
+// spaces where reduction finds nothing to cut. When testdataDir is non-empty, every
 // .evo program there is executed once (deadlock-avoiding, seed 1) and
 // benched as "testdata/<name>" — these are the workloads the planner
 // bracket columns are judged on.
@@ -395,100 +371,49 @@ func testdataWorkloads(dir string) ([]benchCase, error) {
 	return cases, nil
 }
 
-func runCase(c benchCase, workers []int, reps int, baseline *report, noPOR, noSymm bool) (caseResult, error) {
+func runCase(c benchCase, reps int, baseline *report, noPOR, noSymm bool) (caseResult, error) {
 	n := len(c.x.Events)
 	res := caseResult{
-		Name:              c.name,
-		Procs:             len(c.x.Procs),
-		Events:            n,
-		Pairs:             n * (n - 1),
-		ParallelMS:        map[string]float64{},
-		MatrixMS:          map[string]float64{},
-		SpeedupVsParallel: map[string]float64{},
-		MatrixNodesPerSec: map[string]float64{},
+		Name:   c.name,
+		Procs:  len(c.x.Procs),
+		Events: n,
+		Pairs:  n * (n - 1),
+	}
+	// matrixRun times a full CCW Matrix on a fresh analyzer and returns the
+	// median wall-clock with the last run's node and edge counts.
+	matrixRun := func(opts core.Options) (ms float64, nodes, edges int64, err error) {
+		ms, err = measure(reps, func() error {
+			a, err := core.New(c.x, opts)
+			if err != nil {
+				return err
+			}
+			if _, err := a.Matrix(context.Background(), []core.RelKind{core.RelCCW}, core.MatrixOpts{}); err != nil {
+				return err
+			}
+			nodes, edges = a.Stats().Nodes, a.Stats().Edges
+			return nil
+		})
+		return ms, nodes, edges, err
 	}
 
-	seq, err := measure(reps, func() error {
-		a, err := core.New(c.x, core.Options{DisableSymm: noSymm})
-		if err != nil {
-			return err
-		}
-		_, err = a.Relation(context.Background(), core.RelCCW)
-		return err
-	})
+	mat, nodes, edges, err := matrixRun(core.Options{DisablePOR: noPOR, DisableSymm: noSymm})
 	if err != nil {
 		return res, err
 	}
-	res.SequentialMS = seq
-	fmt.Fprintf(os.Stderr, "  sequential            %10.2f ms\n", seq)
-
-	for _, w := range workers {
-		key := strconv.Itoa(w)
-		par, err := measure(reps, func() error {
-			_, err := relationParallel(c.x, core.Options{DisableSymm: noSymm}, core.RelCCW, w)
-			return err
-		})
-		if err != nil {
-			return res, err
-		}
-		res.ParallelMS[key] = par
-		fmt.Fprintf(os.Stderr, "  parallel   workers=%-2d %10.2f ms\n", w, par)
+	res.MatrixMS, res.MatrixNodes, res.MatrixEdges = mat, nodes, edges
+	if mat > 0 {
+		res.MatrixNodesPerSec = round2(float64(nodes) / (mat / 1000))
 	}
-
-	for _, w := range workers {
-		key := strconv.Itoa(w)
-		var nodes, edges int64
-		mat, err := measure(reps, func() error {
-			a, err := core.New(c.x, core.Options{DisablePOR: noPOR, DisableSymm: noSymm})
-			if err != nil {
-				return err
-			}
-			if _, err := a.Matrix(context.Background(), []core.RelKind{core.RelCCW}, core.MatrixOpts{Workers: w}); err != nil {
-				return err
-			}
-			nodes = a.Stats().Nodes
-			edges = a.Stats().Edges
-			return nil
-		})
-		if err != nil {
-			return res, err
-		}
-		res.MatrixMS[key] = mat
-		res.MatrixNodes = nodes
-		res.MatrixEdges = edges
-		if par := res.ParallelMS[key]; mat > 0 {
-			res.SpeedupVsParallel[key] = round2(par / mat)
-		}
-		if mat > 0 {
-			res.MatrixNodesPerSec[key] = round2(float64(nodes) / (mat / 1000))
-		}
-		fmt.Fprintf(os.Stderr, "  matrix     workers=%-2d %10.2f ms  (%.1fx vs parallel, %.0f nodes/s, %d nodes, %d edges)\n",
-			w, mat, res.SpeedupVsParallel[key], res.MatrixNodesPerSec[key], nodes, edges)
-	}
+	fmt.Fprintf(os.Stderr, "  matrix                %10.2f ms  (%.0f nodes/s, %d nodes, %d edges)\n",
+		mat, res.MatrixNodesPerSec, nodes, edges)
 
 	if !noPOR {
-		res.MatrixNoPORMS = map[string]float64{}
-		for _, w := range workers {
-			key := strconv.Itoa(w)
-			var edges int64
-			mat, err := measure(reps, func() error {
-				a, err := core.New(c.x, core.Options{DisableSymm: noSymm})
-				if err != nil {
-					return err
-				}
-				if _, err := a.Matrix(context.Background(), []core.RelKind{core.RelCCW}, core.MatrixOpts{Workers: w, DisablePOR: true}); err != nil {
-					return err
-				}
-				edges = a.Stats().Edges
-				return nil
-			})
-			if err != nil {
-				return res, err
-			}
-			res.MatrixNoPORMS[key] = mat
-			res.MatrixEdgesNoPOR = edges
-			fmt.Fprintf(os.Stderr, "  matrix-off workers=%-2d %10.2f ms  (%d edges without reduction)\n", w, mat, edges)
+		mat, _, edges, err := matrixRun(core.Options{DisablePOR: true, DisableSymm: noSymm})
+		if err != nil {
+			return res, err
 		}
+		res.MatrixNoPORMS, res.MatrixEdgesNoPOR = mat, edges
+		fmt.Fprintf(os.Stderr, "  matrix-nopor          %10.2f ms  (%d edges without reduction)\n", mat, edges)
 		if res.MatrixEdges > 0 {
 			res.EdgeReduction = round2(float64(res.MatrixEdgesNoPOR) / float64(res.MatrixEdges))
 			fmt.Fprintf(os.Stderr, "  edge reduction        %10.2fx (%d -> %d)\n",
@@ -497,28 +422,12 @@ func runCase(c benchCase, workers []int, reps int, baseline *report, noPOR, noSy
 	}
 
 	if !noSymm {
-		res.MatrixNoSymmMS = map[string]float64{}
-		for _, w := range workers {
-			key := strconv.Itoa(w)
-			var nodes int64
-			mat, err := measure(reps, func() error {
-				a, err := core.New(c.x, core.Options{DisablePOR: noPOR, DisableSymm: true})
-				if err != nil {
-					return err
-				}
-				if _, err := a.Matrix(context.Background(), []core.RelKind{core.RelCCW}, core.MatrixOpts{Workers: w}); err != nil {
-					return err
-				}
-				nodes = a.Stats().Nodes
-				return nil
-			})
-			if err != nil {
-				return res, err
-			}
-			res.MatrixNoSymmMS[key] = mat
-			res.MatrixNodesNoSymm = nodes
-			fmt.Fprintf(os.Stderr, "  matrix-nosymm w=%-2d    %10.2f ms  (%d states without orbit collapse)\n", w, mat, nodes)
+		mat, nodes, _, err := matrixRun(core.Options{DisablePOR: noPOR, DisableSymm: true})
+		if err != nil {
+			return res, err
 		}
+		res.MatrixNoSymmMS, res.MatrixNodesNoSymm = mat, nodes
+		fmt.Fprintf(os.Stderr, "  matrix-nosymm         %10.2f ms  (%d states without orbit collapse)\n", mat, nodes)
 		if res.MatrixNodes > 0 {
 			res.SymmStateReduction = round2(float64(res.MatrixNodesNoSymm) / float64(res.MatrixNodes))
 			fmt.Fprintf(os.Stderr, "  symm state reduction  %10.2fx (%d -> %d)\n",
@@ -550,8 +459,8 @@ func runCase(c benchCase, workers []int, reps int, baseline *report, noPOR, noSy
 }
 
 // measurePlan fills the tiered-planner bracket columns: per-tier decided
-// fractions from one Build, then planner-on vs planner-off single-worker
-// matrix wall-clock through plan.Analyze (same engine options as the main
+// fractions from one Build, then planner-on vs planner-off matrix
+// wall-clock through plan.Analyze (same engine options as the main
 // matrix columns).
 func measurePlan(c benchCase, res *caseResult, reps int, noPOR, noSymm bool) error {
 	kinds := []core.RelKind{core.RelCCW}
@@ -569,7 +478,7 @@ func measurePlan(c benchCase, res *caseResult, reps int, noPOR, noSymm bool) err
 	for _, tiers := range []int{0, -1} {
 		ms, err := measure(reps, func() error {
 			_, err := plan.Analyze(context.Background(), c.x, kinds, copts,
-				core.MatrixOpts{Workers: 1, Tiers: tiers})
+				core.MatrixOpts{Tiers: tiers})
 			return err
 		})
 		if err != nil {
@@ -602,7 +511,7 @@ func measureAnytime(c benchCase, res *caseResult, noPOR, noSymm bool) error {
 		}
 		out, err := plan.Analyze(context.Background(), c.x, []core.RelKind{core.RelCCW},
 			core.Options{DisablePOR: noPOR, DisableSymm: noSymm},
-			core.MatrixOpts{Workers: 1, Budget: budget})
+			core.MatrixOpts{Budget: budget})
 		if err != nil {
 			return 0, err
 		}
@@ -628,9 +537,9 @@ func measureAnytime(c benchCase, res *caseResult, noPOR, noSymm bool) error {
 	return nil
 }
 
-// measureMatrixAllocs runs one single-worker Matrix and returns the heap
-// allocation count it incurred (Mallocs delta; single-goroutine, so the
-// delta is attributable to the run).
+// measureMatrixAllocs runs one Matrix and returns the heap allocation
+// count it incurred (Mallocs delta; Matrix runs on the calling goroutine,
+// so the delta is attributable to the run).
 func measureMatrixAllocs(c benchCase, noSymm bool) (float64, error) {
 	a, err := core.New(c.x, core.Options{DisableSymm: noSymm})
 	if err != nil {
@@ -639,106 +548,34 @@ func measureMatrixAllocs(c benchCase, noSymm bool) (float64, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := a.Matrix(context.Background(), []core.RelKind{core.RelCCW}, core.MatrixOpts{Workers: 1}); err != nil {
+	if _, err := a.Matrix(context.Background(), []core.RelKind{core.RelCCW}, core.MatrixOpts{}); err != nil {
 		return 0, err
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs - before.Mallocs), nil
 }
 
-// attachBaseline embeds a previous report's matrix timings for this case
-// as before columns and derives the throughput gain at each worker count.
+// attachBaseline embeds a previous report's matrix timing for this case as
+// before columns and derives the throughput gain.
 func attachBaseline(res *caseResult, baseline *report) {
 	for _, old := range baseline.Cases {
 		if old.Name != res.Name {
 			continue
 		}
-		res.BaselineMatrixMS = map[string]float64{}
-		res.BaselineNodesPerSec = map[string]float64{}
-		res.ThroughputGain = map[string]float64{}
+		res.BaselineMatrixMS = old.MatrixMS
 		res.BaselineNodes = old.MatrixNodes
 		res.BaselineEdges = old.MatrixEdges
-		for key, oldMS := range old.MatrixMS {
-			if _, ran := res.MatrixMS[key]; !ran {
-				continue // worker count not exercised in this run
-			}
-			res.BaselineMatrixMS[key] = oldMS
-			if oldMS > 0 && old.MatrixNodes > 0 {
-				res.BaselineNodesPerSec[key] = round2(float64(old.MatrixNodes) / (oldMS / 1000))
-			}
-			if newNPS, oldNPS := res.MatrixNodesPerSec[key], res.BaselineNodesPerSec[key]; oldNPS > 0 {
-				res.ThroughputGain[key] = round2(newNPS / oldNPS)
-				fmt.Fprintf(os.Stderr, "  vs baseline workers=%-2s %8.2f ms -> %.2f ms  (%.2fx throughput, nodes %d -> %d, edges %d -> %d)\n",
-					key, oldMS, res.MatrixMS[key], res.ThroughputGain[key],
-					old.MatrixNodes, res.MatrixNodes, old.MatrixEdges, res.MatrixEdges)
-			}
+		if old.MatrixMS > 0 && old.MatrixNodes > 0 {
+			res.BaselineNodesPerSec = round2(float64(old.MatrixNodes) / (old.MatrixMS / 1000))
+		}
+		if res.BaselineNodesPerSec > 0 {
+			res.ThroughputGain = round2(res.MatrixNodesPerSec / res.BaselineNodesPerSec)
+			fmt.Fprintf(os.Stderr, "  vs baseline           %8.2f ms -> %.2f ms  (%.2fx throughput, nodes %d -> %d, edges %d -> %d)\n",
+				old.MatrixMS, res.MatrixMS, res.ThroughputGain,
+				old.MatrixNodes, res.MatrixNodes, old.MatrixEdges, res.MatrixEdges)
 		}
 		return
 	}
-}
-
-// relationParallel is the per-pair fan-out baseline the engine once
-// shipped as core.RelationParallel (deleted in favor of Matrix): ordered
-// pairs are sharded over worker goroutines, each deciding its claims on a
-// private analyzer — every pair still a from-scratch search, with no memo
-// sharing across workers.
-func relationParallel(x *model.Execution, opts core.Options, kind core.RelKind, workers int) (*model.Relation, error) {
-	n := len(x.Events)
-	type pair struct{ a, b model.EventID }
-	pairs := make([]pair, 0, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				pairs = append(pairs, pair{model.EventID(i), model.EventID(j)})
-			}
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rel := model.NewRelation(kind.String(), n)
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a, err := core.New(x, opts)
-			if err != nil {
-				fail(err)
-				return
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pairs) {
-					return
-				}
-				holds, err := a.Decide(context.Background(), kind, pairs[i].a, pairs[i].b)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if holds {
-					mu.Lock()
-					rel.Set(pairs[i].a, pairs[i].b)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return rel, firstErr
 }
 
 // measure runs fn reps times and returns the median wall-clock in ms.
@@ -772,25 +609,6 @@ func round4(v float64) float64 {
 		return v
 	}
 	return s
-}
-
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		w, err := strconv.Atoi(part)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -workers element %q", part)
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workers is empty")
-	}
-	return out, nil
 }
 
 func fatal(err error) {

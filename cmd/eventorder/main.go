@@ -175,7 +175,6 @@ func cmdAnalyze(args []string) error {
 	witness := fs.Bool("witness", false, "with -a/-b: print the demonstrating schedule (could-witness or must-counterexample)")
 	ignoreData := fs.Bool("ignore-data", false, "drop shared-data-dependence constraints (Section 5.3 feasibility)")
 	budget := fs.Int64("budget", 0, "search node budget per query (0 = unlimited)")
-	workers := fs.Int("workers", 0, "with -all: batch matrix engine fan-out (0 = GOMAXPROCS)")
 	noPOR := fs.Bool("no-por", false, "disable sleep-set partial-order reduction (verdicts are identical; escape hatch for comparison and debugging)")
 	noSymm := fs.Bool("no-symm", false, "disable process-symmetry orbit collapsing (verdicts are identical; escape hatch for comparison and debugging)")
 	noPlan := fs.Bool("no-plan", false, "with -all: skip the polynomial planner tiers and let the exact engine settle every pair (verdicts are identical)")
@@ -197,10 +196,10 @@ func cmdAnalyze(args []string) error {
 	if *all {
 		// Full matrices go through the tiered planner: polynomial
 		// pre-solvers decide what they can, then one shared exact
-		// exploration settles the residue. Output is deterministic at
-		// any -workers setting: the matrix is a fixed grid and the
-		// provenance rows follow the relation's sorted pair order.
-		mopts := core.MatrixOpts{Workers: *workers, Budget: *budget}
+		// exploration settles the residue. Output is deterministic: the
+		// matrix is a fixed grid and the provenance rows follow the
+		// relation's sorted pair order.
+		mopts := core.MatrixOpts{Budget: *budget}
 		if *noPlan {
 			mopts.Tiers = -1
 		}

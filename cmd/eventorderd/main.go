@@ -91,7 +91,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested deadlines")
 	budget := flag.Int64("budget", 0, "default search node budget per query (0 = unlimited)")
 	maxBudget := flag.Int64("max-budget", 0, "cap on client-requested node budgets (0 = uncapped)")
-	maxMatrixWorkers := flag.Int("max-matrix-workers", 0, "cap on client-requested matrix fan-out (0 = GOMAXPROCS)")
 	noPOR := flag.Bool("no-por", false, "disable sleep-set partial-order reduction in all analyses (identical verdicts; comparison/debugging escape hatch)")
 	noSymm := flag.Bool("no-symm", false, "disable process-symmetry orbit collapsing in all analyses (identical verdicts; comparison/debugging escape hatch)")
 	noPlan := flag.Bool("no-plan", false, "disable the tiered relation planner on matrix requests (identical verdicts; exact engine settles every pair)")
@@ -109,26 +108,25 @@ func main() {
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	cfg := service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheBytes:       *cacheBytes,
-		DefaultTimeout:   *timeout,
-		MaxTimeout:       *maxTimeout,
-		MaxNodes:         *budget,
-		MaxBudget:        *maxBudget,
-		MaxMatrixWorkers: *maxMatrixWorkers,
-		DisablePOR:       *noPOR,
-		DisableSymm:      *noSymm,
-		DisablePlan:      *noPlan,
-		FastWorkers:      *fastWorkers,
-		FastQueueDepth:   *fastQueue,
-		DisableFastLane:  *noFastLane,
-		ShedDepth:        *shedDepth,
-		ShedTimeout:      *shedTimeout,
-		PartialGrace:     *partialGrace,
-		StateDir:         *stateDir,
-		DrainCheckpoint:  *drainCheckpoint,
-		Logger:           logger,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		CacheBytes:      *cacheBytes,
+		DefaultTimeout:  *timeout,
+		MaxTimeout:      *maxTimeout,
+		MaxNodes:        *budget,
+		MaxBudget:       *maxBudget,
+		DisablePOR:      *noPOR,
+		DisableSymm:     *noSymm,
+		DisablePlan:     *noPlan,
+		FastWorkers:     *fastWorkers,
+		FastQueueDepth:  *fastQueue,
+		DisableFastLane: *noFastLane,
+		ShedDepth:       *shedDepth,
+		ShedTimeout:     *shedTimeout,
+		PartialGrace:    *partialGrace,
+		StateDir:        *stateDir,
+		DrainCheckpoint: *drainCheckpoint,
+		Logger:          logger,
 	}
 
 	if *selfcheck {

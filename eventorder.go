@@ -131,12 +131,12 @@ func Analyze(x *Execution, opts Options) (*Analyzer, error) { return core.New(x,
 // whole-matrix questions; these are the knobs and results it shares with
 // Analyzer.Matrix.
 type (
-	// MatrixOpts configures AnalyzeMatrix / Analyzer.Matrix: Workers fans
-	// one shared exploration of the feasibility space out over goroutines
-	// that share a striped memo table, Budget bounds the total number of
-	// distinct states expanded, Tiers caps the polynomial planning
-	// cascade, and Resume continues an interrupted analysis from a
-	// Checkpoint.
+	// MatrixOpts configures AnalyzeMatrix / Analyzer.Matrix, which answers
+	// every pair from one exploration of the feasibility space on the
+	// calling goroutine: Budget bounds the total number of distinct states
+	// expanded, Tiers caps the polynomial planning cascade, and Resume
+	// continues an interrupted analysis from a Checkpoint. Workers is
+	// deprecated and ignored.
 	MatrixOpts = core.MatrixOpts
 	// MatrixLimits bounds what MatrixOpts.Normalize lets through.
 	MatrixLimits = core.MatrixLimits

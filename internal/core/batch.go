@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"eventorder/internal/model"
@@ -49,14 +46,16 @@ import (
 // at level L have executed exactly L actions, so levels form a topological
 // order — a forward reachability pass and a backward completability pass,
 // then folds facts from every reachable-and-completable state into the two
-// matrices. All passes fan out over workers that SHARE one striped
-// concurrent state table, fixing the trade parallel.go punts on.
+// matrices. Both sweeps run on the calling goroutine over one state table,
+// which a complete run hands to the analyzer as its completion memo.
 
 // MatrixOpts configures Analyzer.Matrix (and the planning layers built on
 // it: plan.Analyze and the eventorder.AnalyzeMatrix facade).
 type MatrixOpts struct {
-	// Workers is the number of goroutines sharing the batch exploration
-	// (≤ 0 selects GOMAXPROCS). All workers share one striped memo table.
+	// Workers is ignored: Matrix runs on the calling goroutine.
+	//
+	// Deprecated: fan-out never paid at the trace sizes the engine accepts
+	// and was removed; the field remains so existing callers compile.
 	Workers int
 	// Budget bounds the number of distinct states expanded by the whole
 	// batch; 0 inherits Options.MaxNodes as the total-batch budget. The
@@ -101,9 +100,9 @@ type MatrixOpts struct {
 	Seed *FactSeed
 	// Resume continues an interrupted analysis from the checkpoint a
 	// partial MatrixResult carried. The resumed run must target the same
-	// execution and IgnoreData setting (enforced by fingerprint); workers
-	// may differ freely. Interrupted-then-resumed analyses produce
-	// matrices bit-identical to one-shot runs.
+	// execution and IgnoreData setting (enforced by fingerprint).
+	// Interrupted-then-resumed analyses produce matrices bit-identical to
+	// one-shot runs.
 	Resume *Checkpoint
 	// OnPhase, when non-nil, observes coarse span timings as the analysis
 	// runs: the batch engine reports "forward" (level-synchronous state
@@ -124,7 +123,9 @@ const MaxPlanTiers = 3
 // MatrixLimits bounds what Normalize lets an opts carry — the server-side
 // clamp configuration. The zero value imposes no caps.
 type MatrixLimits struct {
-	// MaxWorkers, when positive, caps Workers.
+	// MaxWorkers is ignored, like MatrixOpts.Workers.
+	//
+	// Deprecated: the field remains so existing callers compile.
 	MaxWorkers int
 	// MaxBudget, when positive, caps Budget and substitutes for an
 	// unlimited (zero) request.
@@ -132,18 +133,11 @@ type MatrixLimits struct {
 }
 
 // Normalize applies the defaults and clamps every entry point shares, so
-// the service, CLIs, and bench do not each re-validate: non-positive
-// Workers resolves to GOMAXPROCS then clamps to lim.MaxWorkers; negative
-// Budget reads as unlimited (0) then clamps to lim.MaxBudget; Tiers
-// clamps to [-1, 0..MaxPlanTiers] (below -1 means "exact only", above
-// MaxPlanTiers means "all tiers"). Seed and Resume pass through.
+// the service, CLIs, and bench do not each re-validate: negative Budget
+// reads as unlimited (0) then clamps to lim.MaxBudget; Tiers clamps to
+// [-1, 0..MaxPlanTiers] (below -1 means "exact only", above MaxPlanTiers
+// means "all tiers"). Seed, Resume and the ignored Workers pass through.
 func (o MatrixOpts) Normalize(lim MatrixLimits) MatrixOpts {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if lim.MaxWorkers > 0 && o.Workers > lim.MaxWorkers {
-		o.Workers = lim.MaxWorkers
-	}
 	if o.Budget < 0 {
 		o.Budget = 0
 	}
@@ -247,8 +241,9 @@ func (m *MatrixResult) DecidedPairs() int {
 // from one shared exploration of the feasibility state space. Complete
 // verdicts are bit-identical to per-pair Relation calls; only the work
 // differs: the exponential space is walked a constant number of times
-// instead of O(n²) times. Options.DisableMemo is ignored (the exploration
-// IS the memo).
+// instead of O(n²) times. Options.DisableMemo does not change the
+// exploration (it IS the memo); it only keeps the finished state table
+// from becoming the analyzer's completion memo.
 //
 // Matrix is an anytime analysis: when cancellation, a deadline, or budget
 // exhaustion strikes it returns (partial, nil) — a MatrixResult with
@@ -260,12 +255,9 @@ func (m *MatrixResult) DecidedPairs() int {
 // error return is reserved for real failures (invalid kinds, inconsistent
 // seeds, mismatched checkpoints).
 //
-// On a complete run the batch's completion facts are folded into the
-// analyzer's persistent completion memo, so later per-pair queries on the
-// same analyzer start warm; an interrupted run leaves the memo untouched.
-//
-// Matrix parallelizes internally but, like every other Analyzer method, it
-// must not be called concurrently with other methods on the same Analyzer.
+// On a complete run the batch's state table becomes the analyzer's
+// persistent completion memo, so later per-pair queries on the same
+// analyzer start warm; an interrupted run leaves the memo untouched.
 func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts) (*MatrixResult, error) {
 	if len(kinds) == 0 {
 		kinds = AllRelKinds
@@ -337,14 +329,12 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 		}
 	}
 
-	run, err := newBatchRun(a, ctx, opts.Workers, budget, por, sym, seed, ckpt)
+	run, err := newBatchRun(a, ctx, budget, por, sym, seed, ckpt)
 	if err != nil {
 		return nil, err
 	}
 	run.onPhase = opts.OnPhase
 	err = run.explore()
-	run.mergeWorkerFacts()
-	a.stats.SymmCollapses += run.symmCollapses()
 	if err != nil {
 		if !isInterrupt(err) {
 			return nil, err
@@ -357,9 +347,9 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 		run.applySeedFacts()
 		return run.partialResult(kinds, err), nil
 	}
-	a.stats.Nodes += run.expanded.Load() - run.baseExpanded
-	a.stats.Edges += run.edges() - run.baseEdges
-	run.mergeCompletionMemo()
+	a.stats.Nodes += run.expanded - run.baseExpanded
+	a.stats.Edges += run.edges - run.baseEdges
+	run.handOverMemo()
 	run.applySeedFacts()
 	return run.completeResult(kinds), nil
 }
@@ -370,69 +360,50 @@ func isInterrupt(err error) bool {
 	return errors.Is(err, ErrBudget) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// The batch engine uses keyExtraComplete as its state-key discriminator
-// byte — the same byte canComplete uses — so batch table entries can be
-// merged verbatim into the analyzer's completion memo.
-
-// batchTable is the slice of the statetab API the batch sweeps need;
-// satisfied by both *statetab.Table (single worker, no locks) and
-// *statetab.Concurrent (lock-striped, any fan-out). The aux word carries
-// each state's accumulated sleep mask during the POR forward sweep:
-// InternAux AND-merges the per-edge contributions, so a state reachable
-// along several paths sleeps only what every path permits — and because
-// levels are expanded with a barrier between them, every contribution has
-// landed before the state itself is expanded.
-type batchTable interface {
-	Intern(key []uint64) (fresh bool)
-	InternAux(key []uint64, aux uint64) (fresh bool)
-	InternAuxOr(key []uint64, aux uint64) (fresh bool, old uint64)
-	Lookup(key []uint64) (value, ok bool)
-	LookupAux(key []uint64) (value bool, aux uint64, ok bool)
-	Store(key []uint64, value bool)
-	Range(fn func(key []uint64, value bool) bool)
-}
-
-// batchRun carries one Matrix invocation's shared exploration state. The
-// shared memo is a lock-striped statetab holding each reachable state's
-// completability verdict inline: keys are the analyzer's packed []uint64
-// state words, the value bit is "completable" (false while only interned
-// by the forward pass, flipped true by the backward sweep, whose level
-// phases are separated by WaitGroup barriers).
+// batchRun carries one Matrix invocation's exploration state. The memo is
+// a statetab holding each reachable state's completability verdict
+// inline: keys are the analyzer's packed []uint64 state words, and the
+// value bit is "completable" (false while only interned by the forward
+// pass, flipped true by the backward sweep). Keys use the canComplete
+// discriminator byte, so a finished table serves as the analyzer's
+// completion memo as is. The aux word carries each state's accumulated
+// sleep mask during the POR forward sweep: InternAux AND-merges the
+// per-edge contributions, so a state reachable along several paths sleeps
+// only what every path permits — and because levels are expanded in
+// order, every contribution has landed before the state itself is
+// expanded.
+//
+// The sweeps step the analyzer's own search state (pc, sem, ev and the
+// depth-0 scratch slots); every per-pair query resets that state before
+// it searches.
 type batchRun struct {
-	a       *Analyzer
-	ctx     context.Context
-	workers int
+	a   *Analyzer
+	ctx context.Context
 
-	table  batchTable // packed state key → completable, shared
-	pcSeen batchTable // pc signatures whose facts are already folded
-	levels [][]uint64 // reachable packed keys by executed-action count, keyWords stride
+	table  *statetab.Table // packed state key → completable
+	pcSeen *statetab.Table // pc signatures whose facts are already folded
+	levels [][]uint64      // reachable packed keys by executed-action count, keyWords stride
 
 	// pcSigWords/pcSigMask delimit the pc-counter prefix of a packed key
-	// (pc bits come first in packKey's layout); sigBufs are per-worker
-	// scratch for extracting signatures without allocating.
+	// (pc bits come first in packKey's layout); sigBuf is scratch for
+	// extracting signatures without allocating.
 	pcSigWords int
 	pcSigMask  uint64
-	sigBufs    [][]uint64
+	sigBuf     []uint64
 
-	// Per-worker fact-folding scratch (ended set, not-begun set, in-
-	// progress list), reused across every foldStateFacts call so the
-	// backward sweep does not allocate per pc signature.
-	foldEnded    [][]uint64
-	foldNotBegun [][]uint64
-	foldInProg   [][]int32
+	// Fact-folding scratch (ended set, not-begun set, in-progress list),
+	// reused across every foldStateFacts call so the backward sweep does
+	// not allocate per pc signature.
+	foldEnded    []uint64
+	foldNotBegun []uint64
+	foldInProg   []int32
 
-	// shadows are per-worker cursors over the analyzer's immutable tables
-	// with private mutable pc/sem/ev state.
-	shadows []*Analyzer
-
-	// Per-event interval facts, master and per-worker accumulators:
-	// canOrder[i] has bit j set iff some feasible complete interleaving
-	// passes a state with i ended and j not begun; canOverlap[i] bit j iff
-	// one passes a state with both in progress.
+	// Per-event interval facts: canOrder[i] has bit j set iff some
+	// feasible complete interleaving passes a state with i ended and j not
+	// begun; canOverlap[i] bit j iff one passes a state with both in
+	// progress.
 	canOrder   [][]uint64
 	canOverlap [][]uint64
-	wOrder     [][][]uint64
-	wOverlap   [][][]uint64
 	// seed is the optional fact bracket from MatrixOpts.Seed; needOrder /
 	// needOverlap (nil when unseeded) mask fact folding down to the facts
 	// the seed leaves undecided — decided facts are restored from the
@@ -446,22 +417,19 @@ type batchRun struct {
 	inProgEvent [][]int32    // [proc][pc] the one in-progress event, or -1
 	semPfx      [][][]int32  // [proc][pc] cumulative semaphore deltas
 
-	// por enables sleep-set pruning of the forward expansion; edgeCnt
-	// counts explored forward edges per worker (stride-padded slots so the
-	// counters do not false-share a cache line).
-	por     bool
-	edgeCnt []int64
+	// por enables sleep-set pruning of the forward expansion.
+	por bool
 
 	// symm enables orbit-canonical state keys: the forward sweep interns
 	// only the least representative of each orbit (sleep masks translated
 	// into its frame by the witness permutation), the backward sweep folds
 	// facts for every orbit member, and pcSeen's aux word accumulates
 	// which per-process sync-edge orbit folds a canonical signature has
-	// already run. perms is per-worker witness scratch; orbits the
-	// per-worker orbit-enumeration walkers.
-	symm   bool
-	perms  [][]int32
-	orbits []*orbitWalker
+	// already run. perm is witness scratch; orbit the orbit-enumeration
+	// walker.
+	symm  bool
+	perm  []int32
+	orbit orbitWalker
 
 	// onPhase mirrors MatrixOpts.OnPhase (nil when unobserved): explore
 	// reports each sweep's wall time through it as the sweep ends.
@@ -469,37 +437,30 @@ type batchRun struct {
 
 	// phase/phaseLvl track which sweep is running and the level it is
 	// processing, so an interrupt can checkpoint its exact position.
-	// baseExpanded/baseEdges carry the resumed-from checkpoint's counters
-	// (zero on a fresh run) — cumulative totals minus the base are this
-	// run's own effort.
+	// expanded and edges are cumulative across resumed attempts;
+	// baseExpanded/baseEdges carry the resumed-from checkpoint's values
+	// (zero on a fresh run), so the totals minus the base are this run's
+	// own effort.
 	phase        uint8
 	phaseLvl     int
+	expanded     int64
+	edges        int64
 	baseExpanded int64
 	baseEdges    int64
 
-	budget    int64 // total state budget; ≤ 0 means unlimited
-	expanded  atomic.Int64
-	remaining atomic.Int64
-	stop      atomic.Bool
-	errMu     sync.Mutex
-	firstErr  error
+	budget int64 // total state budget; ≤ 0 means unlimited
 }
 
-// edgeStride spaces per-worker edge counters one cache line apart.
-const edgeStride = 8
-
-func newBatchRun(a *Analyzer, ctx context.Context, workers int, budget int64, por, sym bool, seed *FactSeed, ckpt *Checkpoint) (*batchRun, error) {
+func newBatchRun(a *Analyzer, ctx context.Context, budget int64, por, sym bool, seed *FactSeed, ckpt *Checkpoint) (*batchRun, error) {
 	n := len(a.x.Events)
 	r := &batchRun{
 		a:         a,
 		ctx:       ctx,
-		workers:   workers,
 		factWords: (n + 63) / 64,
 		budget:    budget,
 		por:       por,
 		symm:      sym,
 		seed:      seed,
-		edgeCnt:   make([]int64, workers*edgeStride),
 	}
 	pcBitsTotal := len(a.pc) * int(a.pcBits)
 	r.pcSigWords = (pcBitsTotal + 63) / 64
@@ -512,26 +473,12 @@ func newBatchRun(a *Analyzer, ctx context.Context, workers int, budget int64, po
 	// product of per-process position counts was tried and regresses tiny
 	// state spaces (the zeroing cost of a misjudged capacity dwarfs a
 	// 100-node sweep) without measurably helping large ones.
-	// A single-worker run stays on one goroutine end to end, so it gets
-	// unlocked tables; any wider fan-out shares the lock-striped variant.
-	if workers <= 1 {
-		r.table = statetab.New(a.keyWords, 0)
-		r.pcSeen = statetab.New(r.pcSigWords, 0)
-	} else {
-		r.table = statetab.NewConcurrent(a.keyWords, 0)
-		r.pcSeen = statetab.NewConcurrent(r.pcSigWords, 0)
-	}
-	r.sigBufs = make([][]uint64, workers)
-	r.foldEnded = make([][]uint64, workers)
-	r.foldNotBegun = make([][]uint64, workers)
-	r.foldInProg = make([][]int32, workers)
-	for w := 0; w < workers; w++ {
-		r.sigBufs[w] = make([]uint64, r.pcSigWords)
-		r.foldEnded[w] = make([]uint64, r.factWords)
-		r.foldNotBegun[w] = make([]uint64, r.factWords)
-		r.foldInProg[w] = make([]int32, 0, len(a.procActs))
-	}
-	r.remaining.Store(budget)
+	r.table = statetab.New(a.keyWords, 0)
+	r.pcSeen = statetab.New(r.pcSigWords, 0)
+	r.sigBuf = make([]uint64, r.pcSigWords)
+	r.foldEnded = make([]uint64, r.factWords)
+	r.foldNotBegun = make([]uint64, r.factWords)
+	r.foldInProg = make([]int32, 0, len(a.procActs))
 	newFacts := func() [][]uint64 {
 		m := make([][]uint64, n)
 		for i := range m {
@@ -564,25 +511,12 @@ func newBatchRun(a *Analyzer, ctx context.Context, workers int, budget int64, po
 			}
 		}
 	}
-	r.shadows = make([]*Analyzer, workers)
-	r.wOrder = make([][][]uint64, workers)
-	r.wOverlap = make([][][]uint64, workers)
-	for w := 0; w < workers; w++ {
-		r.shadows[w] = a.shadow()
-		r.wOrder[w] = newFacts()
-		r.wOverlap[w] = newFacts()
-	}
 	if sym {
-		r.perms = make([][]int32, workers)
-		r.orbits = make([]*orbitWalker, workers)
-		for w := 0; w < workers; w++ {
-			r.perms[w] = make([]int32, len(a.pc))
-			r.orbits[w] = &orbitWalker{
-				r:    r,
-				w:    w,
-				pc:   make([]int32, len(a.pc)),
-				used: make([]uint64, len(a.symmClasses)),
-			}
+		r.perm = make([]int32, len(a.pc))
+		r.orbit = orbitWalker{
+			r:    r,
+			pc:   make([]int32, len(a.pc)),
+			used: make([]uint64, len(a.symmClasses)),
 		}
 	}
 	r.precomputeIntervalTables()
@@ -600,10 +534,10 @@ func newBatchRun(a *Analyzer, ctx context.Context, workers int, budget int64, po
 // the program counters, so no separate frontier encoding is needed), and
 // the budget counters resume cumulatively.
 func (r *batchRun) restore(ckpt *Checkpoint) error {
-	if err := importSnapshot(r.table, ckpt.States); err != nil {
+	if err := r.table.Import(ckpt.States); err != nil {
 		return err
 	}
-	if err := importSnapshot(r.pcSeen, ckpt.PcSeen); err != nil {
+	if err := r.pcSeen.Import(ckpt.PcSeen); err != nil {
 		return err
 	}
 	n := len(r.a.x.Events)
@@ -615,10 +549,9 @@ func (r *batchRun) restore(ckpt *Checkpoint) error {
 	// contiguously from 0, so bucketing by Σ pc reproduces them exactly
 	// (in a different within-level order, which no verdict depends on).
 	kw := r.a.keyWords
-	s := r.shadows[0]
 	maxLvl := 0
 	r.table.Range(func(key []uint64, _ bool) bool {
-		if lvl := r.keyLevel(s, key); lvl > maxLvl {
+		if lvl := r.keyLevel(key); lvl > maxLvl {
 			maxLvl = lvl
 		}
 		return true
@@ -628,48 +561,22 @@ func (r *batchRun) restore(ckpt *Checkpoint) error {
 	}
 	r.levels = make([][]uint64, maxLvl+1)
 	r.table.Range(func(key []uint64, _ bool) bool {
-		lvl := r.keyLevel(s, key)
+		lvl := r.keyLevel(key)
 		r.levels[lvl] = append(r.levels[lvl], key[:kw]...)
 		return true
 	})
 	r.phase = ckpt.Phase
 	r.phaseLvl = ckpt.NextLevel
-	r.baseExpanded = ckpt.Expanded
-	r.baseEdges = ckpt.Edges
-	r.expanded.Store(ckpt.Expanded)
-	if r.budget > 0 {
-		r.remaining.Store(r.budget - ckpt.Expanded)
-	}
-	return nil
-}
-
-// importSnapshot dispatches a snapshot import to the concrete table
-// variant behind the batchTable interface.
-func importSnapshot(t batchTable, snap *statetab.Snapshot) error {
-	switch tab := t.(type) {
-	case *statetab.Table:
-		return tab.Import(snap)
-	case *statetab.Concurrent:
-		return tab.Import(snap)
-	}
-	return errors.New("core: unknown batch table variant")
-}
-
-// exportSnapshot is importSnapshot's counterpart.
-func exportSnapshot(t batchTable) *statetab.Snapshot {
-	switch tab := t.(type) {
-	case *statetab.Table:
-		return tab.Export()
-	case *statetab.Concurrent:
-		return tab.Export()
-	}
+	r.expanded, r.baseExpanded = ckpt.Expanded, ckpt.Expanded
+	r.edges, r.baseEdges = ckpt.Edges, ckpt.Edges
 	return nil
 }
 
 // keyLevel computes the executed-action count of a packed key — the level
-// the forward sweep reached it at — from its program counters (shadow s
-// is used as unpack scratch).
-func (r *batchRun) keyLevel(s *Analyzer, key []uint64) int {
+// the forward sweep reached it at — from its program counters (unpacked
+// into the analyzer's search state).
+func (r *batchRun) keyLevel(key []uint64) int {
+	s := r.a
 	s.unpackKey(key)
 	lvl := 0
 	for _, pc := range s.pc {
@@ -678,28 +585,12 @@ func (r *batchRun) keyLevel(s *Analyzer, key []uint64) int {
 	return lvl
 }
 
-// shadow returns a cursor over the analyzer's immutable preprocessed
-// tables with private mutable search state, so batch workers can step the
-// interleaving machine concurrently. Shadows must not run queries that
-// touch the parent's memo tables.
-func (a *Analyzer) shadow() *Analyzer {
-	s := &Analyzer{}
-	*s = *a
-	s.pc = make([]int32, len(a.pc))
-	s.sem = make([]int32, len(a.sem))
-	s.ev = make([]uint64, len(a.ev))
-	s.allocScratch()
-	s.stats = Stats{}
-	s.memoComplete = nil
-	s.ctx = nil
-	return s
-}
-
 // decodeState loads the state encoded in a packed batch key (pc counters +
-// event variable bits) into shadow s; semaphore counters are recomputed
-// from the precomputed per-prefix deltas (they are a pure function of pc
-// and deliberately not part of the key).
-func (r *batchRun) decodeState(s *Analyzer, key []uint64) {
+// event variable bits) into the analyzer's search state; semaphore
+// counters are recomputed from the precomputed per-prefix deltas (they are
+// a pure function of pc and deliberately not part of the key).
+func (r *batchRun) decodeState(key []uint64) {
+	s := r.a
 	s.unpackKey(key)
 	copy(s.sem, s.semInit)
 	if len(s.sem) > 0 {
@@ -711,13 +602,13 @@ func (r *batchRun) decodeState(s *Analyzer, key []uint64) {
 	}
 }
 
-// pcSig extracts the pc-counter prefix of a packed key into worker w's
-// signature buffer (packKey lays the pc bit-fields out first, so the
-// prefix is a word copy plus a final-word mask). Interval facts depend
-// only on program counters, so states differing only in event variables
-// share one fact derivation.
-func (r *batchRun) pcSig(w int, key []uint64) []uint64 {
-	sig := r.sigBufs[w]
+// pcSig extracts the pc-counter prefix of a packed key into the signature
+// buffer (packKey lays the pc bit-fields out first, so the prefix is a
+// word copy plus a final-word mask). Interval facts depend only on program
+// counters, so states differing only in event variables share one fact
+// derivation.
+func (r *batchRun) pcSig(key []uint64) []uint64 {
+	sig := r.sigBuf
 	copy(sig, key[:r.pcSigWords])
 	sig[r.pcSigWords-1] &= r.pcSigMask
 	return sig
@@ -779,90 +670,30 @@ func (r *batchRun) precomputeIntervalTables() {
 	}
 }
 
-// fail records the first error and stops all workers.
-func (r *batchRun) fail(err error) {
-	r.errMu.Lock()
-	if r.firstErr == nil {
-		r.firstErr = err
-		r.stop.Store(true)
-	}
-	r.errMu.Unlock()
-}
-
 // chargeState counts one expanded state against the batch budget.
 func (r *batchRun) chargeState() error {
-	r.expanded.Add(1)
-	if r.budget > 0 && r.remaining.Add(-1) < 0 {
+	r.expanded++
+	if r.budget > 0 && r.expanded > r.budget {
 		return ErrBudget
 	}
 	return nil
 }
 
-// runPhase fans n items out over the run's workers; each worker claims
-// index chunks and processes them with its private shadow (callers index
-// their flat key slice by i). The per-level WaitGroup is the barrier that
-// makes completability writes of one level visible to the next.
-func (r *batchRun) runPhase(n int, fn func(w int, s *Analyzer, i int) error) error {
-	workers := r.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		s := r.shadows[0]
-		for i := 0; i < n; i++ {
-			if i%64 == 0 {
-				if err := r.ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if r.stop.Load() {
-				break
-			}
-			if err := fn(0, s, i); err != nil {
-				r.fail(err)
-				break
+// runPhase calls fn for items 0..n-1 in order (callers index their flat
+// key slice by i), polling the context every 64 items, and stops at the
+// first error.
+func (r *batchRun) runPhase(n int, fn func(i int) error) error {
+	for i := 0; i < n; i++ {
+		if i%64 == 0 {
+			if err := r.ctx.Err(); err != nil {
+				return err
 			}
 		}
-		return r.firstErr
+		if err := fn(i); err != nil {
+			return err
+		}
 	}
-	var next atomic.Int64
-	const chunk = 16
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := r.shadows[w]
-			for !r.stop.Load() {
-				if err := r.ctx.Err(); err != nil {
-					r.fail(err)
-					return
-				}
-				lo := int(next.Add(chunk)) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					if r.stop.Load() {
-						return
-					}
-					if err := fn(w, s, i); err != nil {
-						r.fail(err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	r.errMu.Lock()
-	err := r.firstErr
-	r.errMu.Unlock()
-	return err
+	return nil
 }
 
 // explore runs the two level-synchronous sweeps: forward reachability and
@@ -875,9 +706,9 @@ func (r *batchRun) explore() error {
 		// Fresh run: intern the initial state. Levels hold packed keys
 		// inline (keyWords stride), so appending a key copies its words —
 		// keys are owned by the level slice.
-		s := r.shadows[0]
+		s := r.a
 		s.resetState()
-		root := make([]uint64, r.a.keyWords)
+		root := make([]uint64, s.keyWords)
 		s.packKey(keyExtraComplete, root)
 		r.levels = append(r.levels, root)
 		r.table.Intern(root)
@@ -906,29 +737,29 @@ func (r *batchRun) emitPhase(name string, start time.Time) {
 }
 
 // forward expands each level's states starting at phaseLvl, deduping
-// successors in the shared table. Levels are a topological order of the
-// state DAG (each step executes exactly one action).
+// successors in the table. Levels are a topological order of the state
+// DAG (each step executes exactly one action).
 func (r *batchRun) forward() error {
-	a := r.a
-	kw := a.keyWords
-	for lvl := r.phaseLvl; lvl < len(a.acts); lvl++ {
+	s := r.a
+	kw := s.keyWords
+	for lvl := r.phaseLvl; lvl < len(s.acts); lvl++ {
 		r.phaseLvl = lvl
 		frontier := r.levels[lvl]
 		if len(frontier) == 0 {
 			break
 		}
-		nextLevel := make([][]uint64, r.workers)
-		err := r.runPhase(len(frontier)/kw, func(w int, s *Analyzer, i int) error {
+		var next []uint64
+		err := r.runPhase(len(frontier)/kw, func(i int) error {
 			if err := r.chargeState(); err != nil {
 				return err
 			}
 			key := frontier[i*kw : (i+1)*kw]
-			r.decodeState(s, key)
+			r.decodeState(key)
 			var cand uint64
 			if r.por {
 				// The state's final sleep mask: the AND of every incoming
-				// edge's contribution, all of which landed in the previous
-				// level's phase (the barrier between levels orders them).
+				// edge's contribution, all of which landed while the
+				// previous level was expanded.
 				_, cand, _ = r.table.LookupAux(key)
 			}
 			sleep := cand
@@ -939,12 +770,10 @@ func (r *batchRun) forward() error {
 			// contribution translated into the canonical frame by the
 			// witness permutation. The parent's own mask needs no inverse
 			// translation: the parent key IS canonical, and decodeState
-			// put the shadow in that same canonical frame.
+			// put the search state in that same canonical frame.
 			raw := child
-			var perm []int32
 			if r.symm {
 				raw = s.symmRaw
-				perm = r.perms[w]
 			}
 			for _, id := range enabled {
 				var childMask uint64
@@ -956,16 +785,16 @@ func (r *batchRun) forward() error {
 					childMask = s.filterSleep(cand, id, nil)
 					cand |= pbit
 				}
-				r.edgeCnt[w*edgeStride]++
+				r.edges++
 				s.patchChildKey(id, key, raw)
 				if r.symm {
-					if s.canonicalizeKey(raw, child, perm) {
+					if s.canonicalizeKey(raw, child, r.perm) {
 						s.stats.SymmCollapses++
 					}
-					childMask = permuteMask(childMask, perm)
+					childMask = permuteMask(childMask, r.perm)
 				}
 				if r.table.InternAux(child, childMask) {
-					nextLevel[w] = append(nextLevel[w], child...)
+					next = append(next, child...)
 				}
 			}
 			return nil
@@ -973,11 +802,7 @@ func (r *batchRun) forward() error {
 		if err != nil {
 			return err
 		}
-		var merged []uint64
-		for _, part := range nextLevel {
-			merged = append(merged, part...)
-		}
-		r.levels = append(r.levels, merged)
+		r.levels = append(r.levels, next)
 	}
 	return nil
 }
@@ -986,16 +811,16 @@ func (r *batchRun) forward() error {
 // folds state facts for every completable state as its verdict lands, and
 // edge facts for every sync action connecting two completable states.
 // Every state and child key was interned by the forward pass, so the
-// backward writes only flip existing value bits — the shared table's
-// layout is stable throughout this phase.
+// backward writes only flip existing value bits.
 func (r *batchRun) backward() error {
-	kw := r.a.keyWords
+	s := r.a
+	kw := s.keyWords
 	for lvl := r.phaseLvl; lvl >= 0; lvl-- {
 		r.phaseLvl = lvl
 		level := r.levels[lvl]
-		err := r.runPhase(len(level)/kw, func(w int, s *Analyzer, i int) error {
+		err := r.runPhase(len(level)/kw, func(i int) error {
 			key := level[i*kw : (i+1)*kw]
-			r.decodeState(s, key)
+			r.decodeState(key)
 			completable := false
 			var syncMask uint64
 			if s.allDone() {
@@ -1009,7 +834,7 @@ func (r *batchRun) backward() error {
 					if r.symm {
 						// The table holds canonical keys only; the child of
 						// a canonical state need not be canonical itself.
-						s.canonicalizeKey(child, s.symmRaw, r.perms[w])
+						s.canonicalizeKey(child, s.symmRaw, r.perm)
 						ck = s.symmRaw
 					}
 					childOK, _ := r.table.Lookup(ck)
@@ -1026,7 +851,7 @@ func (r *batchRun) backward() error {
 						} else {
 							// Edge rule: the atomic event fires here, inside
 							// the interval of every in-progress event.
-							r.foldSyncOverlap(w, s.pc, s.acts[id].event)
+							r.foldSyncOverlap(s.pc, s.acts[id].event)
 						}
 					}
 				}
@@ -1034,9 +859,9 @@ func (r *batchRun) backward() error {
 			if completable {
 				r.table.Store(key, true)
 				if r.symm {
-					r.orbits[w].fold(s, key, syncMask)
-				} else if r.pcSeen.Intern(r.pcSig(w, key)) {
-					r.foldStateFacts(w, s.pc)
+					r.orbit.fold(s, key, syncMask)
+				} else if r.pcSeen.Intern(r.pcSig(key)) {
+					r.foldStateFacts(s.pc)
 				}
 			}
 			return nil
@@ -1048,36 +873,22 @@ func (r *batchRun) backward() error {
 	return nil
 }
 
-// mergeWorkerFacts folds the worker-local fact accumulators into the
-// master matrices. It runs exactly once per Matrix call — after the
-// sweeps finish OR after an interrupt stops them — so a checkpoint and a
-// partial result see everything the workers proved before stopping
-// (positive facts are folded only from states already proven reachable
-// and completable, so every one of them is final).
-func (r *batchRun) mergeWorkerFacts() {
-	for w := 0; w < r.workers; w++ {
-		for i := range r.canOrder {
-			for j := range r.canOrder[i] {
-				r.canOrder[i][j] |= r.wOrder[w][i][j]
-				r.canOverlap[i][j] |= r.wOverlap[w][i][j]
-			}
-		}
-	}
-}
-
 // foldStateFacts derives the interval facts visible at the reachable,
-// completable state with program counters pc into worker w's accumulators:
-// every ended event can-order every not-yet-begun event, and every pair of
-// in-progress events can overlap. It depends on the state only through pc
-// (the interval tables are indexed [proc][pc]), which is what lets the
-// orbit walker fold members whose packed keys were never materialized.
-func (r *batchRun) foldStateFacts(w int, pc []int32) {
+// completable state with program counters pc: every ended event can-order
+// every not-yet-begun event, and every pair of in-progress events can
+// overlap. It depends on the state only through pc (the interval tables
+// are indexed [proc][pc]), which is what lets the orbit walker fold
+// members whose packed keys were never materialized. Facts fold straight
+// into canOrder/canOverlap: each is set only from a state already proven
+// reachable and completable, so an interrupted run's partial matrices and
+// checkpoint hold only final facts.
+func (r *batchRun) foldStateFacts(pc []int32) {
 	n := len(r.a.x.Events)
-	ended, notBegun := r.foldEnded[w], r.foldNotBegun[w]
+	ended, notBegun := r.foldEnded, r.foldNotBegun
 	for i := 0; i < r.factWords; i++ {
 		ended[i], notBegun[i] = 0, 0
 	}
-	inProg := r.foldInProg[w][:0]
+	inProg := r.foldInProg[:0]
 	for p := range pc {
 		pcp := pc[p]
 		eb := r.endedBits[p][pcp]
@@ -1097,7 +908,7 @@ func (r *batchRun) foldStateFacts(w int, pc []int32) {
 	if n%64 != 0 {
 		notBegun[r.factWords-1] &= (1 << uint(n%64)) - 1
 	}
-	order := r.wOrder[w]
+	order := r.canOrder
 	for wi := 0; wi < r.factWords; wi++ {
 		word := ended[wi]
 		for word != 0 {
@@ -1116,7 +927,7 @@ func (r *batchRun) foldStateFacts(w int, pc []int32) {
 			word &= word - 1
 		}
 	}
-	overlap := r.wOverlap[w]
+	overlap := r.canOverlap
 	for x := 0; x < len(inProg); x++ {
 		for y := x + 1; y < len(inProg); y++ {
 			e, f := inProg[x], inProg[y]
@@ -1141,8 +952,8 @@ func (r *batchRun) setOverlap(acc [][]uint64, e, f int32) {
 // construction: a sync action is enabled only when it is its own process's
 // next action). Like foldStateFacts it reads only pc, for the orbit
 // walker's sake.
-func (r *batchRun) foldSyncOverlap(w int, pc []int32, ev int32) {
-	overlap := r.wOverlap[w]
+func (r *batchRun) foldSyncOverlap(pc []int32, ev int32) {
+	overlap := r.canOverlap
 	for p := range pc {
 		if f := r.inProgEvent[p][pc[p]]; f >= 0 {
 			r.setOverlap(overlap, ev, f)
@@ -1178,34 +989,14 @@ func (r *batchRun) fact(facts [][]uint64, i, j int) bool {
 	return facts[i][j/64]&(1<<uint(j%64)) != 0
 }
 
-// edges sums the per-worker forward-edge counters plus the resumed-from
-// checkpoint's cumulative count.
-func (r *batchRun) edges() int64 {
-	total := r.baseEdges
-	for w := 0; w < r.workers; w++ {
-		total += r.edgeCnt[w*edgeStride]
-	}
-	return total
-}
-
-// symmCollapses sums the per-worker orbit-collapse counters (shadows carry
-// them so the hot loop touches no shared cache line).
-func (r *batchRun) symmCollapses() int64 {
-	var total int64
-	for _, s := range r.shadows {
-		total += s.stats.SymmCollapses
-	}
-	return total
-}
-
 // orbitWalker replays a canonical backward-sweep state's fact folds for
 // every member of its orbit, keeping the symmetry-reduced run's matrices
 // bit-identical to the unreduced engine's: the unreduced backward sweep
 // visits each member as a real state and folds there; the reduced sweep
 // visits only the representative, so the walker reconstructs the member
 // program counters (facts depend on states only through pc) and folds the
-// same set. One walker per worker; all walk state lives in the struct and
-// recursion is by method, so enumeration allocates nothing per state.
+// same set. All walk state lives in the struct and recursion is by method,
+// so enumeration allocates nothing per state.
 //
 // Dedup matches the unreduced run's exactly. State facts fold once per pc
 // signature — the walker runs them only when the canonical signature was
@@ -1219,20 +1010,19 @@ func (r *batchRun) symmCollapses() int64 {
 // the unreduced run's per-state folds).
 type orbitWalker struct {
 	r       *batchRun
-	w       int
-	canon   []int32  // canonical pc (borrowed from the worker's shadow)
+	canon   []int32  // canonical pc (borrowed from the analyzer's search state)
 	pc      []int32  // member pc under construction
 	used    []uint64 // per-class taken-position bitmaps for the recursion
 	fresh   bool     // canonical signature was new: fold member state facts
 	newSync uint64   // canonical procs whose sync-edge folds run this walk
 }
 
-// fold is the walker's entry point: s sits decoded at the canonical state
-// whose packed key is key, and syncMask holds the processes whose enabled
-// sync action led to a completable child there.
+// fold is the walker's entry point: s (the run's analyzer) sits decoded
+// at the canonical state whose packed key is key, and syncMask holds the
+// processes whose enabled sync action led to a completable child there.
 func (o *orbitWalker) fold(s *Analyzer, key []uint64, syncMask uint64) {
 	r := o.r
-	fresh, old := r.pcSeen.InternAuxOr(r.pcSig(o.w, key), syncMask)
+	fresh, old := r.pcSeen.InternAuxOr(r.pcSig(key), syncMask)
 	o.fresh = fresh
 	o.newSync = syncMask &^ old
 	if !fresh && o.newSync == 0 {
@@ -1288,19 +1078,19 @@ func (o *orbitWalker) place(s *Analyzer, ci, j int) {
 func (o *orbitWalker) emit(s *Analyzer) {
 	r := o.r
 	if o.fresh {
-		r.foldStateFacts(o.w, o.pc)
+		r.foldStateFacts(o.pc)
 	}
 	for m := o.newSync; m != 0; m &= m - 1 {
 		p := int32(bits.TrailingZeros64(m))
 		pos := o.canon[p]
 		ci := s.symmClassOf[p]
 		if ci < 0 {
-			r.foldSyncOverlap(o.w, o.pc, s.acts[s.procActs[p][pos]].event)
+			r.foldSyncOverlap(o.pc, s.acts[s.procActs[p][pos]].event)
 			continue
 		}
 		for _, q := range s.symmClasses[ci] {
 			if o.pc[q] == pos {
-				r.foldSyncOverlap(o.w, o.pc, s.acts[s.procActs[q][pos]].event)
+				r.foldSyncOverlap(o.pc, s.acts[s.procActs[q][pos]].event)
 			}
 		}
 	}
@@ -1319,20 +1109,19 @@ func (r *batchRun) checkpoint() *Checkpoint {
 		Symm:        r.symm,
 		Phase:       r.phase,
 		NextLevel:   r.phaseLvl,
-		Expanded:    r.expanded.Load(),
-		Edges:       r.edges(),
+		Expanded:    r.expanded,
+		Edges:       r.edges,
 		NumEvents:   n,
-		PcSeen:      exportSnapshot(r.pcSeen),
+		PcSeen:      r.pcSeen.Export(),
 		CanOrder:    flattenFacts(r.canOrder, r.factWords),
 		CanOverlap:  flattenFacts(r.canOverlap, r.factWords),
 	}
-	snap := exportSnapshot(r.table)
+	snap := r.table.Export()
 	if r.phase == ckPhaseForward {
-		s := r.shadows[0]
 		filtered := &statetab.Snapshot{Words: snap.Words}
 		for i := 0; i < snap.Entries; i++ {
 			key := snap.Key(i)
-			if r.keyLevel(s, key) > r.phaseLvl {
+			if r.keyLevel(key) > r.phaseLvl {
 				continue
 			}
 			filtered.Append(key, snap.Val(i), snap.AuxAt(i))
@@ -1387,7 +1176,7 @@ func (r *batchRun) overlapVerdict(a, b model.EventID) Verdict {
 
 // partialResult assembles the interrupted run's three-valued matrices:
 // per kind, the pairs proven to hold and the pairs still open. Callers
-// must have merged worker facts and applied the seed first.
+// must have applied the seed first.
 func (r *batchRun) partialResult(kinds []RelKind, cause error) *MatrixResult {
 	n := len(r.a.x.Events)
 	res := &MatrixResult{
@@ -1396,7 +1185,7 @@ func (r *batchRun) partialResult(kinds []RelKind, cause error) *MatrixResult {
 		Undecided:  make(map[RelKind]*model.Relation, len(kinds)),
 		Checkpoint: r.checkpoint(),
 		Cause:      cause,
-		Expanded:   r.expanded.Load(),
+		Expanded:   r.expanded,
 	}
 	for _, kind := range kinds {
 		rel := model.NewRelation(kind.String(), n)
@@ -1465,24 +1254,25 @@ func (r *batchRun) completeResult(kinds []RelKind) *MatrixResult {
 		Complete:  true,
 		Kinds:     append([]RelKind(nil), kinds...),
 		Relations: out,
-		Expanded:  r.expanded.Load(),
+		Expanded:  r.expanded,
 	}
 }
 
-// mergeCompletionMemo folds the batch's completability verdicts into the
-// analyzer's persistent completion memo (batch keys use the canComplete
-// discriminator byte, so they merge verbatim): per-pair queries issued
-// after a Matrix call start with the whole reachable space memoized. The
-// backward sweep decides completability over the FULL enabled set, so every
-// merged verdict is exact — stored with aux mask 0, reusable under any
-// sleep set (including overwriting a conditional false a prior POR query
-// left behind).
-func (r *batchRun) mergeCompletionMemo() {
+// handOverMemo installs the finished state table as the analyzer's
+// persistent completion memo (batch keys use the canComplete
+// discriminator byte), so per-pair queries issued after a Matrix call
+// start with the whole reachable space memoized. The backward sweep
+// decides completability over the FULL enabled set, so every verdict is
+// exact and reusable under any sleep set — which is what an aux word of 0
+// says, so the forward sweep's sleep masks are cleared first. The table
+// replaces the previous memo instead of merging into it: it holds every
+// reachable state under the run's keys, and those include every key a
+// per-pair query memoizes (orbit-canonical keys when the analyzer reduces
+// symmetry, raw keys otherwise).
+func (r *batchRun) handOverMemo() {
 	if r.a.opts.DisableMemo {
 		return
 	}
-	r.table.Range(func(key []uint64, completable bool) bool {
-		r.a.memoComplete.StoreAux(key, completable, 0)
-		return true
-	})
+	r.table.ClearAux()
+	r.a.memoComplete = r.table
 }

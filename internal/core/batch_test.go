@@ -14,14 +14,9 @@ import (
 	"eventorder/internal/model"
 )
 
-// matrixWorkerCounts are the fan-out widths the differential tests sweep:
-// the sequential degenerate case, a small parallel case, and an
-// oversubscribed one.
-var matrixWorkerCounts = []int{1, 2, 4, 9}
-
-// requireMatrixEqualsSequential asserts that Matrix at every worker count
-// produces matrices bit-identical to independent per-pair Relation calls
-// on a fresh analyzer.
+// requireMatrixEqualsSequential asserts that Matrix produces matrices
+// bit-identical to independent per-pair Relation calls on a fresh
+// analyzer.
 func requireMatrixEqualsSequential(t *testing.T, tag string, x *model.Execution, opts Options) {
 	t.Helper()
 	want := map[RelKind]*model.Relation{}
@@ -33,27 +28,24 @@ func requireMatrixEqualsSequential(t *testing.T, tag string, x *model.Execution,
 		}
 		want[kind] = r
 	}
-	for _, workers := range matrixWorkerCounts {
-		a := mustAnalyzer(t, x, opts)
-		got, err := a.Matrix(context.Background(), nil, MatrixOpts{Workers: workers})
-		if err != nil {
-			t.Fatalf("%s: Matrix(workers=%d): %v", tag, workers, err)
-		}
-		if !got.Complete {
-			t.Fatalf("%s: Matrix(workers=%d) incomplete with no interruption", tag, workers)
-		}
-		for _, kind := range AllRelKinds {
-			if !got.Relations[kind].Equal(want[kind]) {
-				t.Errorf("%s: Matrix(workers=%d) %s differs from per-pair:\nbatch:\n%s\nsequential:\n%s",
-					tag, workers, kind, got.Relations[kind].FormatMatrix(x), want[kind].FormatMatrix(x))
-			}
+	a := mustAnalyzer(t, x, opts)
+	got, err := a.Matrix(context.Background(), nil, MatrixOpts{})
+	if err != nil {
+		t.Fatalf("%s: Matrix: %v", tag, err)
+	}
+	if !got.Complete {
+		t.Fatalf("%s: Matrix incomplete with no interruption", tag)
+	}
+	for _, kind := range AllRelKinds {
+		if !got.Relations[kind].Equal(want[kind]) {
+			t.Errorf("%s: Matrix %s differs from per-pair:\nbatch:\n%s\nsequential:\n%s",
+				tag, kind, got.Relations[kind].FormatMatrix(x), want[kind].FormatMatrix(x))
 		}
 	}
 }
 
 // TestMatrixMatchesSequentialRandom is the batch engine's differential
-// gate on randomized executions, in both data modes and across worker
-// counts.
+// gate on randomized executions, in both data modes.
 func TestMatrixMatchesSequentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1990))
 	const trials = 25
@@ -78,7 +70,7 @@ func TestMatrixMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: brute: %v", trial, err)
 		}
 		a := mustAnalyzer(t, x, Options{})
-		got, err := a.Matrix(context.Background(), nil, MatrixOpts{Workers: 4})
+		got, err := a.Matrix(context.Background(), nil, MatrixOpts{})
 		if err != nil {
 			t.Fatalf("trial %d: Matrix: %v", trial, err)
 		}
@@ -139,7 +131,7 @@ func TestMatrixSubsetKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	some, err := a.Matrix(context.Background(), []RelKind{RelMHB, RelCCW}, MatrixOpts{Workers: 2})
+	some, err := a.Matrix(context.Background(), []RelKind{RelMHB, RelCCW}, MatrixOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,26 +149,24 @@ func TestMatrixSubsetKinds(t *testing.T) {
 }
 
 // TestMatrixBudget: a tiny state budget must yield a partial anytime
-// result at every worker count — nil error, Complete false, a budget
-// cause, and a checkpoint that can resume — not hang, fail, or succeed.
+// result — nil error, Complete false, a budget cause, and a checkpoint
+// that can resume — not hang, fail, or succeed.
 func TestMatrixBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x := randomExecution(rng)
-	for _, workers := range matrixWorkerCounts {
-		a := mustAnalyzer(t, x, Options{})
-		m, err := a.Matrix(context.Background(), nil, MatrixOpts{Workers: workers, Budget: 1})
-		if err != nil {
-			t.Fatalf("workers=%d: got error %v, want partial result", workers, err)
-		}
-		if m.Complete {
-			t.Fatalf("workers=%d: budget 1 claims a complete matrix", workers)
-		}
-		if !errors.Is(m.Cause, ErrBudget) {
-			t.Errorf("workers=%d: cause = %v, want ErrBudget", workers, m.Cause)
-		}
-		if m.Checkpoint == nil {
-			t.Errorf("workers=%d: partial result carries no checkpoint", workers)
-		}
+	a := mustAnalyzer(t, x, Options{})
+	m, err := a.Matrix(context.Background(), nil, MatrixOpts{Budget: 1})
+	if err != nil {
+		t.Fatalf("got error %v, want partial result", err)
+	}
+	if m.Complete {
+		t.Fatal("budget 1 claims a complete matrix")
+	}
+	if !errors.Is(m.Cause, ErrBudget) {
+		t.Errorf("cause = %v, want ErrBudget", m.Cause)
+	}
+	if m.Checkpoint == nil {
+		t.Error("partial result carries no checkpoint")
 	}
 }
 
@@ -189,7 +179,7 @@ func TestMatrixCancel(t *testing.T) {
 	a := mustAnalyzer(t, x, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := a.Matrix(ctx, nil, MatrixOpts{Workers: 4})
+	m, err := a.Matrix(ctx, nil, MatrixOpts{})
 	if err != nil {
 		t.Fatalf("got error %v, want partial result", err)
 	}
@@ -217,17 +207,34 @@ func TestMatrixCancel(t *testing.T) {
 }
 
 // TestMatrixWarmStartsCompletionMemo: a Matrix call must leave the
-// analyzer's persistent completion memo populated so subsequent per-pair
-// queries reuse it.
+// analyzer's persistent completion memo holding every state the run
+// reached — the states it expanded plus the terminal states, which the
+// forward sweep interns but never expands — each with an exact verdict
+// (aux word 0), so subsequent per-pair queries reuse it.
 func TestMatrixWarmStartsCompletionMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := randomExecution(rng)
 	a := mustAnalyzer(t, x, Options{})
-	if _, err := a.Matrix(context.Background(), nil, MatrixOpts{Workers: 2}); err != nil {
+	m, err := a.Matrix(context.Background(), nil, MatrixOpts{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Stats().CompleteMemo; got == 0 {
-		t.Fatal("completion memo empty after Matrix")
+	terminal := 0
+	a.memoComplete.Range(func(key []uint64, _ bool) bool {
+		if _, aux, _ := a.memoComplete.LookupAux(key); aux != 0 {
+			t.Errorf("memo entry %v keeps aux word %#x after Matrix, want 0", key, aux)
+		}
+		a.unpackKey(key)
+		if a.allDone() {
+			terminal++
+		}
+		return true
+	})
+	if terminal == 0 {
+		t.Fatal("completion memo holds no terminal state after Matrix")
+	}
+	if got, want := int64(a.Stats().CompleteMemo), m.Expanded+int64(terminal); got != want {
+		t.Fatalf("completion memo holds %d states, want %d expanded + %d terminal", got, m.Expanded, terminal)
 	}
 	a.ResetStats()
 	if _, err := a.Decide(context.Background(), RelCHB, 0, 1); err != nil {

@@ -3,23 +3,22 @@ package core
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"eventorder/internal/model"
 )
 
 // countCtx is a context whose Err flips to Canceled after limit calls —
-// deterministic mid-exploration cancellation without timers. Batch workers
-// poll Err concurrently, so the counter is atomic.
+// deterministic mid-exploration cancellation without timers.
 type countCtx struct {
 	context.Context
-	calls atomic.Int64
+	calls int64
 	limit int64
 }
 
 func (c *countCtx) Err() error {
-	if c.calls.Add(1) > c.limit {
+	c.calls++
+	if c.calls > c.limit {
 		return context.Canceled
 	}
 	return nil
@@ -35,7 +34,7 @@ func TestCancelMidBatchNoPartialVerdicts(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		a := mustAnalyzer(t, x, Options{DisablePOR: disable})
 		cctx := &countCtx{Context: context.Background(), limit: 2}
-		partial, err := a.Matrix(cctx, nil, MatrixOpts{Workers: 2})
+		partial, err := a.Matrix(cctx, nil, MatrixOpts{})
 		if err != nil {
 			t.Fatalf("disablePOR=%v: Matrix under canceled ctx = %v, want partial result", disable, err)
 		}

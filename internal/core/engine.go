@@ -197,10 +197,10 @@ type Analyzer struct {
 
 	// Process-symmetry reduction (symm.go). symm is true when a nontrivial
 	// process-permutation group was detected and not disabled; the class
-	// tables are shared (immutable) while the scratch below is per-Analyzer
-	// (reallocated by shadow()). symmRaw holds the raw packed key before
-	// canonicalization; permArena holds per-depth witness permutations,
-	// which must survive recursion into child frames like keyArena slots.
+	// tables are immutable and the scratch below is reused by every search.
+	// symmRaw holds the raw packed key before canonicalization; permArena
+	// holds per-depth witness permutations, which must survive recursion
+	// into child frames like keyArena slots.
 	symm        bool
 	symmClasses [][]int32 // interchangeable-process classes, ascending ids
 	symmClassOf []int32   // proc → class index, or -1 if fixed

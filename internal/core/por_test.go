@@ -33,26 +33,24 @@ func requirePOROnOffAgree(t *testing.T, tag string, x *model.Execution, opts Opt
 				tag, kind, got[kind].FormatMatrix(x), want[kind].FormatMatrix(x))
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		a := mustAnalyzer(t, x, opts)
-		mOn, err := a.Matrix(context.Background(), nil, MatrixOpts{Workers: workers})
-		if err != nil {
-			t.Fatalf("%s: Matrix POR-on workers=%d: %v", tag, workers, err)
+	a := mustAnalyzer(t, x, opts)
+	mOn, err := a.Matrix(context.Background(), nil, MatrixOpts{})
+	if err != nil {
+		t.Fatalf("%s: Matrix POR-on: %v", tag, err)
+	}
+	b := mustAnalyzer(t, x, opts)
+	mOff, err := b.Matrix(context.Background(), nil, MatrixOpts{DisablePOR: true})
+	if err != nil {
+		t.Fatalf("%s: Matrix POR-off: %v", tag, err)
+	}
+	for _, kind := range AllRelKinds {
+		if !mOn.Relations[kind].Equal(mOff.Relations[kind]) {
+			t.Errorf("%s: Matrix %s differs POR on vs off:\non:\n%s\noff:\n%s",
+				tag, kind, mOn.Relations[kind].FormatMatrix(x), mOff.Relations[kind].FormatMatrix(x))
 		}
-		b := mustAnalyzer(t, x, opts)
-		mOff, err := b.Matrix(context.Background(), nil, MatrixOpts{Workers: workers, DisablePOR: true})
-		if err != nil {
-			t.Fatalf("%s: Matrix POR-off workers=%d: %v", tag, workers, err)
-		}
-		for _, kind := range AllRelKinds {
-			if !mOn.Relations[kind].Equal(mOff.Relations[kind]) {
-				t.Errorf("%s: Matrix(workers=%d) %s differs POR on vs off:\non:\n%s\noff:\n%s",
-					tag, workers, kind, mOn.Relations[kind].FormatMatrix(x), mOff.Relations[kind].FormatMatrix(x))
-			}
-			if !mOn.Relations[kind].Equal(want[kind]) {
-				t.Errorf("%s: Matrix(workers=%d) %s POR-on differs from per-pair POR-off:\nbatch:\n%s\nper-pair:\n%s",
-					tag, workers, kind, mOn.Relations[kind].FormatMatrix(x), want[kind].FormatMatrix(x))
-			}
+		if !mOn.Relations[kind].Equal(want[kind]) {
+			t.Errorf("%s: Matrix %s POR-on differs from per-pair POR-off:\nbatch:\n%s\nper-pair:\n%s",
+				tag, kind, mOn.Relations[kind].FormatMatrix(x), want[kind].FormatMatrix(x))
 		}
 	}
 }
@@ -94,7 +92,7 @@ func TestPOROnOffVerdictsAgreeRandom(t *testing.T) {
 func matrixEdges(t *testing.T, x *model.Execution, disable bool) int64 {
 	t.Helper()
 	a := mustAnalyzer(t, x, Options{})
-	if _, err := a.Matrix(context.Background(), nil, MatrixOpts{Workers: 1, DisablePOR: disable}); err != nil {
+	if _, err := a.Matrix(context.Background(), nil, MatrixOpts{DisablePOR: disable}); err != nil {
 		t.Fatalf("Matrix(disablePOR=%v): %v", disable, err)
 	}
 	return a.Stats().Edges
@@ -130,11 +128,11 @@ func TestPORBatchNodesUnchanged(t *testing.T) {
 	for _, name := range []string{"barrier.evo", "handshake.evo", "dining2.evo"} {
 		x := loadTrace(t, name)
 		a := mustAnalyzer(t, x, Options{})
-		if _, err := a.Matrix(context.Background(), nil, MatrixOpts{Workers: 1}); err != nil {
+		if _, err := a.Matrix(context.Background(), nil, MatrixOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		b := mustAnalyzer(t, x, Options{})
-		if _, err := b.Matrix(context.Background(), nil, MatrixOpts{Workers: 1, DisablePOR: true}); err != nil {
+		if _, err := b.Matrix(context.Background(), nil, MatrixOpts{DisablePOR: true}); err != nil {
 			t.Fatal(err)
 		}
 		if an, bn := a.Stats().Nodes, b.Stats().Nodes; an != bn {

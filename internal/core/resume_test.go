@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"eventorder/internal/model"
@@ -45,14 +44,14 @@ func resumeToCompletion(t *testing.T, x *model.Execution, first *MatrixResult, o
 }
 
 // requireResumeIdentity is the anytime tentpole's acceptance gate: for one
-// trace, worker count, and analyzer options (the symm on/off axis rides
-// through opts), interrupt the exploration with a tiny budget, resume
+// trace and analyzer options (the symm on/off axis rides through opts),
+// interrupt the exploration with a tiny budget, resume
 // (through serialized checkpoints) in small budget increments until
 // complete, and require the final matrices bit-identical to a one-shot
 // run — and every intermediate partial verdict to agree with it.
-func requireResumeIdentity(t *testing.T, tag string, x *model.Execution, workers int, opts Options) {
+func requireResumeIdentity(t *testing.T, tag string, x *model.Execution, opts Options) {
 	t.Helper()
-	oneShot, err := mustAnalyzer(t, x, opts).Matrix(context.Background(), nil, MatrixOpts{Workers: workers})
+	oneShot, err := mustAnalyzer(t, x, opts).Matrix(context.Background(), nil, MatrixOpts{})
 	if err != nil {
 		t.Fatalf("%s: one-shot: %v", tag, err)
 	}
@@ -65,7 +64,7 @@ func requireResumeIdentity(t *testing.T, tag string, x *model.Execution, workers
 	// (forward and backward phase boundaries included).
 	step := int64(1 + oneShot.Expanded/7)
 	first, err := mustAnalyzer(t, x, opts).Matrix(context.Background(), nil,
-		MatrixOpts{Workers: workers, Budget: 1})
+		MatrixOpts{Budget: 1})
 	if err != nil {
 		t.Fatalf("%s: budget-1 run: %v", tag, err)
 	}
@@ -112,7 +111,7 @@ func requireResumeIdentity(t *testing.T, tag string, x *model.Execution, workers
 		}
 		a := mustAnalyzer(t, x, opts)
 		cur, err = a.Matrix(context.Background(), nil, MatrixOpts{
-			Workers: workers, Budget: ckpt.Expanded + step, Resume: ckpt,
+			Budget: ckpt.Expanded + step, Resume: ckpt,
 		})
 		if err != nil {
 			t.Fatalf("%s: resume step %d: %v", tag, steps, err)
@@ -131,8 +130,8 @@ func requireResumeIdentity(t *testing.T, tag string, x *model.Execution, workers
 }
 
 // TestResumeIdentityTestdata is the CI resume-identity gate: on every
-// committed example trace, at 1, 2, and 4 workers, with symmetry reduction
-// on and off, an interrupted run resumed to completion is bit-identical to
+// committed example trace, with symmetry reduction on and off, an
+// interrupted run resumed to completion is bit-identical to
 // a one-shot run. (On traces with a trivial symmetry group both settings
 // exercise the same path; the symmetric traces — barrier6, symring,
 // barrier — split genuinely.)
@@ -142,11 +141,9 @@ func TestResumeIdentityTestdata(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			x := loadTrace(t, name)
-			for _, workers := range []int{1, 2, 4} {
-				for _, noSymm := range []bool{false, true} {
-					tag := fmt.Sprintf("%s workers=%d noSymm=%v", name, workers, noSymm)
-					requireResumeIdentity(t, tag, x, workers, Options{DisableSymm: noSymm})
-				}
+			for _, noSymm := range []bool{false, true} {
+				tag := fmt.Sprintf("%s noSymm=%v", name, noSymm)
+				requireResumeIdentity(t, tag, x, Options{DisableSymm: noSymm})
 			}
 		})
 	}
@@ -158,19 +155,19 @@ func TestResumeIdentityTestdata(t *testing.T) {
 // not merely config-reproducible).
 func TestResumeIdentitySymmDisagree(t *testing.T) {
 	x := loadTrace(t, "barrier6.evo")
-	symmOn, err := mustAnalyzer(t, x, Options{}).Matrix(context.Background(), nil, MatrixOpts{Workers: 2})
+	symmOn, err := mustAnalyzer(t, x, Options{}).Matrix(context.Background(), nil, MatrixOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	first, err := mustAnalyzer(t, x, Options{DisableSymm: true}).Matrix(context.Background(), nil,
-		MatrixOpts{Workers: 2, Budget: symmOn.Expanded / 2})
+		MatrixOpts{Budget: symmOn.Expanded / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Complete {
 		t.Fatal("half-budget symm-off run completed; interruption path untested")
 	}
-	full := resumeToCompletion(t, x, first, Options{DisableSymm: true}, MatrixOpts{Workers: 2})
+	full := resumeToCompletion(t, x, first, Options{DisableSymm: true}, MatrixOpts{})
 	for _, kind := range AllRelKinds {
 		if !full.Relations[kind].Equal(symmOn.Relations[kind]) {
 			t.Errorf("%s: symm-off resumed differs from symm-on one-shot", kind)
@@ -250,12 +247,12 @@ func testdataTraces(t *testing.T) []string {
 func TestResumeIdentityPOROff(t *testing.T) {
 	x := loadTrace(t, "barrier.evo")
 	a := mustAnalyzer(t, x, Options{DisablePOR: true})
-	oneShot, err := a.Matrix(context.Background(), nil, MatrixOpts{Workers: 2})
+	oneShot, err := a.Matrix(context.Background(), nil, MatrixOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	first, err := mustAnalyzer(t, x, Options{DisablePOR: true}).Matrix(context.Background(), nil,
-		MatrixOpts{Workers: 2, Budget: oneShot.Expanded / 3})
+		MatrixOpts{Budget: oneShot.Expanded / 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +262,7 @@ func TestResumeIdentityPOROff(t *testing.T) {
 	if !first.Checkpoint.POR {
 		// DisablePOR analyzers checkpoint POR=false; a resume on a
 		// POR-capable analyzer must keep it off.
-		full := resumeToCompletion(t, x, first, Options{}, MatrixOpts{Workers: 2})
+		full := resumeToCompletion(t, x, first, Options{}, MatrixOpts{})
 		for _, kind := range AllRelKinds {
 			if !full.Relations[kind].Equal(oneShot.Relations[kind]) {
 				t.Errorf("%s: resumed (POR pinned off) differs from one-shot", kind)
@@ -312,38 +309,37 @@ func TestCheckpointCodecRejectsGarbage(t *testing.T) {
 
 // TestNormalize is the satellite's table test: MatrixOpts.Normalize is the
 // one place defaults and clamps are applied, shared by the service, the
-// CLIs, and bench.
+// CLIs, and bench. The deprecated Workers knob passes through untouched,
+// whatever MaxWorkers says.
 func TestNormalize(t *testing.T) {
-	gomax := runtime.GOMAXPROCS(0)
 	cases := []struct {
-		name        string
-		in          MatrixOpts
-		lim         MatrixLimits
-		wantWorkers int
-		wantBudget  int64
-		wantTiers   int
+		name       string
+		in         MatrixOpts
+		lim        MatrixLimits
+		wantBudget int64
+		wantTiers  int
 	}{
-		{"zero value", MatrixOpts{}, MatrixLimits{}, gomax, 0, 0},
-		{"negative workers", MatrixOpts{Workers: -3}, MatrixLimits{}, gomax, 0, 0},
-		{"workers clamped", MatrixOpts{Workers: 1000}, MatrixLimits{MaxWorkers: 4}, 4, 0, 0},
-		{"workers default clamped", MatrixOpts{}, MatrixLimits{MaxWorkers: 1}, 1, 0, 0},
-		{"workers under cap kept", MatrixOpts{Workers: 2}, MatrixLimits{MaxWorkers: 8}, 2, 0, 0},
-		{"negative budget to unlimited", MatrixOpts{Budget: -9}, MatrixLimits{}, gomax, 0, 0},
-		{"unlimited budget capped", MatrixOpts{}, MatrixLimits{MaxBudget: 500}, gomax, 500, 0},
-		{"negative budget capped", MatrixOpts{Budget: -1}, MatrixLimits{MaxBudget: 500}, gomax, 500, 0},
-		{"budget over cap clamped", MatrixOpts{Budget: 900}, MatrixLimits{MaxBudget: 500}, gomax, 500, 0},
-		{"budget under cap kept", MatrixOpts{Budget: 100}, MatrixLimits{MaxBudget: 500}, gomax, 100, 0},
-		{"tiers below -1", MatrixOpts{Tiers: -7}, MatrixLimits{}, gomax, 0, -1},
-		{"tiers -1 kept", MatrixOpts{Tiers: -1}, MatrixLimits{}, gomax, 0, -1},
-		{"tiers in range kept", MatrixOpts{Tiers: 2}, MatrixLimits{}, gomax, 0, 2},
-		{"tiers at max kept", MatrixOpts{Tiers: MaxPlanTiers}, MatrixLimits{}, gomax, 0, MaxPlanTiers},
-		{"tiers above max to full cascade", MatrixOpts{Tiers: MaxPlanTiers + 1}, MatrixLimits{}, gomax, 0, 0},
+		{"zero value", MatrixOpts{}, MatrixLimits{}, 0, 0},
+		{"negative workers", MatrixOpts{Workers: -3}, MatrixLimits{}, 0, 0},
+		{"workers over cap ignored", MatrixOpts{Workers: 1000}, MatrixLimits{MaxWorkers: 4}, 0, 0},
+		{"zero workers with cap ignored", MatrixOpts{}, MatrixLimits{MaxWorkers: 1}, 0, 0},
+		{"workers under cap kept", MatrixOpts{Workers: 2}, MatrixLimits{MaxWorkers: 8}, 0, 0},
+		{"negative budget to unlimited", MatrixOpts{Budget: -9}, MatrixLimits{}, 0, 0},
+		{"unlimited budget capped", MatrixOpts{}, MatrixLimits{MaxBudget: 500}, 500, 0},
+		{"negative budget capped", MatrixOpts{Budget: -1}, MatrixLimits{MaxBudget: 500}, 500, 0},
+		{"budget over cap clamped", MatrixOpts{Budget: 900}, MatrixLimits{MaxBudget: 500}, 500, 0},
+		{"budget under cap kept", MatrixOpts{Budget: 100}, MatrixLimits{MaxBudget: 500}, 100, 0},
+		{"tiers below -1", MatrixOpts{Tiers: -7}, MatrixLimits{}, 0, -1},
+		{"tiers -1 kept", MatrixOpts{Tiers: -1}, MatrixLimits{}, 0, -1},
+		{"tiers in range kept", MatrixOpts{Tiers: 2}, MatrixLimits{}, 0, 2},
+		{"tiers at max kept", MatrixOpts{Tiers: MaxPlanTiers}, MatrixLimits{}, 0, MaxPlanTiers},
+		{"tiers above max to full cascade", MatrixOpts{Tiers: MaxPlanTiers + 1}, MatrixLimits{}, 0, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			got := c.in.Normalize(c.lim)
-			if got.Workers != c.wantWorkers {
-				t.Errorf("Workers = %d, want %d", got.Workers, c.wantWorkers)
+			if got.Workers != c.in.Workers {
+				t.Errorf("Workers = %d, want %d passed through", got.Workers, c.in.Workers)
 			}
 			if got.Budget != c.wantBudget {
 				t.Errorf("Budget = %d, want %d", got.Budget, c.wantBudget)
@@ -356,14 +352,14 @@ func TestNormalize(t *testing.T) {
 
 	// Seed and Resume pass through untouched, and Normalize is idempotent.
 	seed := &FactSeed{}
-	in := MatrixOpts{Seed: seed, Workers: 3, Budget: 7, Tiers: 1}
-	once := in.Normalize(MatrixLimits{MaxWorkers: 8, MaxBudget: 100})
+	in := MatrixOpts{Seed: seed, Budget: 7, Tiers: 1}
+	once := in.Normalize(MatrixLimits{MaxBudget: 100})
 	if once.Seed != seed {
 		t.Error("Normalize dropped the seed")
 	}
 	// MatrixOpts holds a func field (OnPhase), so compare knob by knob.
-	twice := once.Normalize(MatrixLimits{MaxWorkers: 8, MaxBudget: 100})
-	if twice.Workers != once.Workers || twice.Budget != once.Budget || twice.Tiers != once.Tiers || twice.Seed != once.Seed || twice.Resume != once.Resume {
+	twice := once.Normalize(MatrixLimits{MaxBudget: 100})
+	if twice.Budget != once.Budget || twice.Tiers != once.Tiers || twice.Seed != once.Seed || twice.Resume != once.Resume {
 		t.Errorf("Normalize not idempotent: %+v vs %+v", twice, once)
 	}
 }

@@ -104,8 +104,8 @@ func TestSymmDetectIgnoreData(t *testing.T) {
 }
 
 // TestMatrixSymmIdentity is the tentpole's acceptance bit: on every
-// committed trace, at 1, 2, and 4 workers, the symmetry-reduced batch
-// matrices are bit-identical to the unreduced engine's.
+// committed trace, the symmetry-reduced batch matrices are bit-identical
+// to the unreduced engine's.
 func TestMatrixSymmIdentity(t *testing.T) {
 	for _, name := range testdataTraces(t) {
 		name := name
@@ -113,21 +113,18 @@ func TestMatrixSymmIdentity(t *testing.T) {
 			t.Parallel()
 			x := loadTrace(t, name)
 			ref, err := mustAnalyzer(t, x, Options{DisableSymm: true}).Matrix(
-				context.Background(), nil, MatrixOpts{Workers: 1})
+				context.Background(), nil, MatrixOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				got, err := mustAnalyzer(t, x, Options{}).Matrix(
-					context.Background(), nil, MatrixOpts{Workers: workers})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				for _, kind := range AllRelKinds {
-					if !got.Relations[kind].Equal(ref.Relations[kind]) {
-						t.Errorf("workers=%d: %s differs under symmetry:\nsymm:\n%s\nno-symm:\n%s",
-							workers, kind, got.Relations[kind].FormatMatrix(x), ref.Relations[kind].FormatMatrix(x))
-					}
+			got, err := mustAnalyzer(t, x, Options{}).Matrix(context.Background(), nil, MatrixOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range AllRelKinds {
+				if !got.Relations[kind].Equal(ref.Relations[kind]) {
+					t.Errorf("%s differs under symmetry:\nsymm:\n%s\nno-symm:\n%s",
+						kind, got.Relations[kind].FormatMatrix(x), ref.Relations[kind].FormatMatrix(x))
 				}
 			}
 		})
@@ -142,7 +139,7 @@ func TestSymmReducesStates(t *testing.T) {
 			x := loadTrace(t, name)
 			run := func(opts Options) int64 {
 				a := mustAnalyzer(t, x, opts)
-				if _, err := a.Matrix(context.Background(), nil, MatrixOpts{Workers: 1}); err != nil {
+				if _, err := a.Matrix(context.Background(), nil, MatrixOpts{}); err != nil {
 					t.Fatal(err)
 				}
 				return a.Stats().Nodes
@@ -169,7 +166,7 @@ func TestSymmStatsCounters(t *testing.T) {
 	if got := a.Stats().SymmClasses; got != 1 {
 		t.Errorf("SymmClasses = %d, want 1", got)
 	}
-	if _, err := a.Matrix(context.Background(), nil, MatrixOpts{Workers: 2}); err != nil {
+	if _, err := a.Matrix(context.Background(), nil, MatrixOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Stats().SymmCollapses; got <= 0 {

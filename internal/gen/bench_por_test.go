@@ -18,7 +18,7 @@ func benchMatrix(b *testing.B, disable bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := a.Matrix(context.Background(), nil, core.MatrixOpts{Workers: 1}); err != nil {
+		if _, err := a.Matrix(context.Background(), nil, core.MatrixOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,7 +16,7 @@ func matrixEdges(t *testing.T, x *model.Execution, disablePOR bool) (int64, int6
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Matrix(context.Background(), nil, core.MatrixOpts{Workers: 1, DisablePOR: disablePOR}); err != nil {
+	if _, err := a.Matrix(context.Background(), nil, core.MatrixOpts{DisablePOR: disablePOR}); err != nil {
 		t.Fatalf("Matrix(disablePOR=%v): %v", disablePOR, err)
 	}
 	s := a.Stats()

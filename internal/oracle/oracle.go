@@ -2,15 +2,15 @@
 // every engine the repository ships for the same question: brute-force
 // enumeration of all feasible interleavings, the per-pair memoized search
 // (with and without sleep-set reduction), the batch matrix engine (with
-// and without reduction, at several worker widths), and the tiered
-// polynomial planner (every cascade depth's fact bracket, plus the fully
-// planned matrix) must produce identical relation verdicts on every
-// execution, and every witness schedule the engines emit must replay and
-// exhibit its claim. Check runs the
-// comparison; Verify additionally minimizes a failing execution with a
-// seeded shrinker (greedily dropping processes and events while the
-// disagreement persists) so a randomized-test failure arrives as a small
-// reproducing trace rather than a 40-event haystack.
+// and without reduction, and the per-pair engine answering from the memo a
+// complete batch run leaves behind), and the tiered polynomial planner
+// (every cascade depth's fact bracket, plus the fully planned matrix) must
+// produce identical relation verdicts on every execution, and every
+// witness schedule the engines emit must replay and exhibit its claim.
+// Check runs the comparison; Verify additionally minimizes a failing
+// execution with a seeded shrinker (greedily dropping processes and events
+// while the disagreement persists) so a randomized-test failure arrives
+// as a small reproducing trace rather than a 40-event haystack.
 package oracle
 
 import (
@@ -36,9 +36,6 @@ type Config struct {
 	// remaining engines still cross-check each other). 0 means the default
 	// of 50000; negative disables brute entirely.
 	BruteLimit int
-	// Workers lists the batch-engine worker widths to exercise. Empty
-	// means {1, 4}.
-	Workers []int
 	// MaxWitnessEvents caps the witness-validation phase: executions with
 	// more events skip it (6·n·(n-1) witness searches). 0 means 20.
 	MaxWitnessEvents int
@@ -50,9 +47,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BruteLimit == 0 {
 		c.BruteLimit = 50_000
-	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1, 4}
 	}
 	if c.MaxWitnessEvents == 0 {
 		c.MaxWitnessEvents = 20
@@ -113,25 +107,34 @@ func Check(x *model.Execution, cfg Config) error {
 		}
 	}
 
-	for _, w := range cfg.Workers {
-		for _, disablePOR := range []bool{false, true} {
-			for _, disableSymm := range []bool{false, true} {
-				a, err := core.New(x, opts)
-				if err != nil {
-					return fmt.Errorf("oracle: analyzer: %w", err)
-				}
-				m, err := a.Matrix(context.Background(), nil,
-					core.MatrixOpts{Workers: w, DisablePOR: disablePOR, DisableSymm: disableSymm})
-				tag := fmt.Sprintf("Matrix(workers=%d, disablePOR=%v, disableSymm=%v)", w, disablePOR, disableSymm)
-				if err != nil {
-					return fmt.Errorf("oracle: %s: %w", tag, err)
-				}
-				if !m.Complete {
-					return fmt.Errorf("oracle: %s returned a partial result with no interrupt", tag)
-				}
-				if err := compare(tag, x, m.Relations, ref); err != nil {
-					return err
-				}
+	// Batch engine at every reduction combination. A complete run leaves
+	// its state table behind as the analyzer's completion memo, so the
+	// per-pair engine then answers every query on that same analyzer,
+	// starting warm from the memo the batch handed over.
+	for _, disablePOR := range []bool{false, true} {
+		for _, disableSymm := range []bool{false, true} {
+			a, err := core.New(x, opts)
+			if err != nil {
+				return fmt.Errorf("oracle: analyzer: %w", err)
+			}
+			m, err := a.Matrix(context.Background(), nil,
+				core.MatrixOpts{DisablePOR: disablePOR, DisableSymm: disableSymm})
+			tag := fmt.Sprintf("Matrix(disablePOR=%v, disableSymm=%v)", disablePOR, disableSymm)
+			if err != nil {
+				return fmt.Errorf("oracle: %s: %w", tag, err)
+			}
+			if !m.Complete {
+				return fmt.Errorf("oracle: %s returned a partial result with no interrupt", tag)
+			}
+			if err := compare(tag, x, m.Relations, ref); err != nil {
+				return err
+			}
+			warm, err := a.AllRelations(context.Background())
+			if err != nil {
+				return fmt.Errorf("oracle: per-pair after %s: %w", tag, err)
+			}
+			if err := compare("per-pair after "+tag, x, warm, ref); err != nil {
+				return err
 			}
 		}
 	}

@@ -407,7 +407,10 @@ func TestRecoveryDuplicateJobIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _ := json.Marshal(map[string]any{"program": figure1Program(t), "rel": "mhb", "a": "lp", "b": "rp", "async": true})
+	// The request carries the removed "workers" knob, as journals written
+	// before its removal may: replay decodes leniently, so it still
+	// recovers (the HTTP handler's strict decoder would answer 400).
+	req, _ := json.Marshal(map[string]any{"program": figure1Program(t), "rel": "mhb", "a": "lp", "b": "rp", "async": true, "workers": 4})
 	acc, _ := json.Marshal(jobRecord{T: "accepted", ID: "j000007", Ep: "analyze", Req: req})
 	run, _ := json.Marshal(jobRecord{T: "running", ID: "j000007"})
 	// 64-byte segments force every append into its own segment, so the

@@ -103,11 +103,6 @@ type Config struct {
 	// MaxNodes is the default per-query search node budget when a request
 	// sets none; 0 means unbounded.
 	MaxNodes int64
-	// MaxMatrixWorkers caps the per-request workers knob of matrix
-	// queries (default GOMAXPROCS). Requests asking for more are clamped,
-	// not rejected: the knob is a resource hint, not a semantic one —
-	// matrix verdicts are identical at every worker count.
-	MaxMatrixWorkers int
 	// MaxBudget caps client-requested search budgets (0 = no cap).
 	// Requests exceeding it are clamped to it.
 	MaxBudget int64
@@ -194,9 +189,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.DrainCheckpoint == 0 {
 		c.DrainCheckpoint = time.Second
-	}
-	if c.MaxMatrixWorkers <= 0 {
-		c.MaxMatrixWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
@@ -444,10 +436,6 @@ type AnalyzeRequest struct {
 	// the server's maximum). For matrix queries it bounds the batch
 	// engine's total distinct states expanded.
 	Budget int64 `json:"budget,omitempty"`
-	// Workers is the matrix-query fan-out width (0 = server default;
-	// capped by the server's maximum; ignored for pair queries). Verdicts
-	// do not depend on it, so cached results are shared across widths.
-	Workers int `json:"workers,omitempty"`
 	// Tiers caps the planner cascade for matrix queries: 0 (default)
 	// runs every polynomial tier, 1..3 run only the first so many, and
 	// -1 disables the planner (exact-only, no bracket). Ignored for pair
@@ -837,7 +825,7 @@ func (s *Server) nodeBudget(b int64) int64 {
 // core.MatrixOpts.Normalize — the one place matrix knob defaults and caps
 // are applied (the CLIs and bench share the same path).
 func (s *Server) matrixLimits() core.MatrixLimits {
-	return core.MatrixLimits{MaxWorkers: s.cfg.MaxMatrixWorkers, MaxBudget: s.cfg.MaxBudget}
+	return core.MatrixLimits{MaxBudget: s.cfg.MaxBudget}
 }
 
 // dispatchOpts parameterizes one dispatch: the cache key (empty disables
@@ -1080,7 +1068,7 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 		}
 	}
 
-	// Out-of-range resource knobs (budget, workers, tiers) are clamped by
+	// Out-of-range resource knobs (budget, tiers) are clamped by
 	// core.MatrixOpts.Normalize rather than rejected: they are hints, not
 	// semantics — verdicts are identical at every setting.
 	pairQuery := req.A != "" || req.B != ""
@@ -1134,10 +1122,9 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 		kinds = core.AllRelKinds
 	}
 	mopts := core.MatrixOpts{
-		Workers: req.Workers,
-		Budget:  req.Budget,
-		Tiers:   req.Tiers,
-		Resume:  resume,
+		Budget: req.Budget,
+		Tiers:  req.Tiers,
+		Resume: resume,
 	}
 	if s.cfg.DisablePlan {
 		mopts.Tiers = -1
@@ -1170,10 +1157,8 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 			lane = LaneFast
 		}
 	}
-	// The cache key deliberately omits workers and budget: the batch
-	// engine's verdicts are identical at every fan-out width, and a
-	// budget only decides when a run stops, never what its completed
-	// verdicts say. Tiers IS part of the key — verdicts match at every
+	// The cache key deliberately omits budget: a budget only decides
+	// when a run stops, never what its completed verdicts say. Tiers IS part of the key — verdicts match at every
 	// setting, but the plan summary in the payload does not. Resume
 	// requests bypass the cache entirely: serving a cached plan-bearing
 	// body for a resumed run would misreport provenance, and a partial

@@ -255,16 +255,16 @@ func TestMatrixMatchesDirectCore(t *testing.T) {
 }
 
 // TestAnalyzeWorkersAndBudgetKnobs covers the matrix-path request knobs:
-// out-of-range values are clamped by core.MatrixOpts.Normalize rather
-// than rejected (the knobs are hints, not semantics), a large workers ask
-// is clamped and returns verdicts identical to the default, and the cache
-// is shared across worker counts (the knob is not part of the key).
+// an out-of-range budget is clamped by core.MatrixOpts.Normalize rather
+// than rejected (the knob is a hint, not semantics) and served from the
+// cache (budget is not part of the key), and a body that still carries
+// the removed workers knob is a 400 from the strict decoder.
 func TestAnalyzeWorkersAndBudgetKnobs(t *testing.T) {
 	x, err := gen.Mutex(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServer(t, Config{Workers: 1, MaxMatrixWorkers: 2})
+	srv, ts := newTestServer(t, Config{Workers: 1})
 	exec := executionJSON(t, x)
 
 	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{"execution": exec, "all": true})
@@ -273,12 +273,15 @@ func TestAnalyzeWorkersAndBudgetKnobs(t *testing.T) {
 	}
 	base := decodeEnvelope(t, body)
 
-	// Out-of-range knobs are clamped, not rejected; the results are served
-	// from the cache since neither knob is part of the key.
+	resp, body = postJSON(t, ts.URL+"/v1/analyze", map[string]any{"execution": exec, "all": true, "workers": 2})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "workers") {
+		t.Errorf("workers: status %d, want 400 naming the field: %s", resp.StatusCode, body)
+	}
+
+	// An out-of-range budget is clamped, not rejected; the result is
+	// served from the cache since budget is not part of the key.
 	for _, clamped := range []map[string]any{
-		{"execution": exec, "all": true, "workers": -1},
 		{"execution": exec, "all": true, "budget": -5},
-		{"execution": exec, "all": true, "workers": 1000},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/analyze", clamped)
 		if resp.StatusCode != http.StatusOK {

@@ -8,19 +8,9 @@ import (
 	"testing"
 )
 
-// tableOps is the common surface the round-trip test drives on both
-// variants.
-type tableOps interface {
-	StoreAux(key []uint64, value bool, aux uint64)
-	LookupAux(key []uint64) (value bool, aux uint64, ok bool)
-	Len() int
-	Export() *Snapshot
-	Import(*Snapshot) error
-}
-
 // fillRandom populates tab with n random entries (values and aux words
 // mixed) and returns the reference contents keyed by mapKey.
-func fillRandom(rng *rand.Rand, tab tableOps, words, n int, withAux bool) map[string]struct {
+func fillRandom(rng *rand.Rand, tab *Table, words, n int, withAux bool) map[string]struct {
 	key []uint64
 	val bool
 	aux uint64
@@ -47,9 +37,11 @@ func fillRandom(rng *rand.Rand, tab tableOps, words, n int, withAux bool) map[st
 	return ref
 }
 
-// TestSnapshotRoundTrip exports each variant, gob-encodes and decodes the
+// TestSnapshotRoundTrip exports a table, gob-encodes and decodes the
 // snapshot (the serialization checkpoints use), and imports it into a
-// fresh instance of the other variant: contents must survive exactly.
+// fresh table: contents must survive exactly, and the import must size the
+// table once, at the exporter's capacity (the entries arrive in hash
+// order, which a table doubling on the way piles into long probe runs).
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, words := range []int{1, 2, 5} {
 		for _, withAux := range []bool{false, true} {
@@ -71,13 +63,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// Import the decoded snapshot into the opposite variant.
-				dst := NewConcurrent(words, 0)
+				dst := New(words, 0)
 				if err := dst.Import(&decoded); err != nil {
 					t.Fatal(err)
 				}
 				if dst.Len() != len(ref) {
 					t.Fatalf("import holds %d entries, want %d", dst.Len(), len(ref))
+				}
+				if got, want := dst.Stats(), src.Stats(); got.Grows != 0 || got.Capacity != want.Capacity {
+					t.Errorf("import grew %d times to capacity %d, want 0 grows at capacity %d",
+						got.Grows, got.Capacity, want.Capacity)
 				}
 				for _, e := range ref {
 					val, aux, ok := dst.LookupAux(e.key)
@@ -87,7 +82,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					}
 				}
 
-				// And back into the single-threaded variant.
+				// And once more, from the imported table's own export.
 				back := New(words, 0)
 				if err := back.Import(dst.Export()); err != nil {
 					t.Fatal(err)
@@ -147,7 +142,7 @@ func TestSnapshotEmpty(t *testing.T) {
 	if snap.Entries != 0 {
 		t.Fatalf("empty export captured %d entries", snap.Entries)
 	}
-	dst := NewConcurrent(4, 0)
+	dst := New(4, 0)
 	if err := dst.Import(snap); err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,14 @@
 // the arrays and reinserts (amortized O(1) per insert, incremental in the
 // sense that capacity tracks occupancy instead of being preallocated).
 //
-// Two variants share the layout: Table for single-goroutine searches, and
-// Concurrent — 64 lock-striped Tables — for the batch matrix engine's
-// shared exploration. Both expose occupancy statistics (entries, bytes,
-// load factor, grow count) so callers can surface cache pressure.
+// Table is not safe for concurrent use: every search that owns one (a
+// per-pair query's monitor memo, the batch matrix engine's exploration,
+// the analyzer's completion memo) runs on one goroutine. Occupancy
+// statistics (entries, bytes, load factor, grow count) let callers surface
+// cache pressure.
 package statetab
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // minCapacity is the smallest non-empty table capacity (power of two).
 const minCapacity = 16
@@ -50,7 +48,7 @@ type Stats struct {
 
 // Table is an open-addressing hash map from fixed-width packed state keys
 // to a boolean, with inline key storage and no per-entry allocation.
-// It is not safe for concurrent use; see Concurrent.
+// It is not safe for concurrent use.
 type Table struct {
 	words int      // uint64 words per key (fixed at creation)
 	mask  uint64   // capacity-1; capacity is a power of two
@@ -91,10 +89,9 @@ func capacityFor(n int) int {
 	return c
 }
 
-// Hash mixes the key words into a 64-bit hash (xorshift-multiply per word,
-// murmur-style finalizer). Exported so the striped variant and tests can
-// reuse the exact function.
-func Hash(key []uint64) uint64 {
+// hash mixes the key words into a 64-bit hash (xorshift-multiply per word,
+// murmur-style finalizer).
+func hash(key []uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, w := range key {
 		h ^= w
@@ -131,7 +128,7 @@ func (t *Table) Lookup(key []uint64) (value, ok bool) {
 	if t.n == 0 {
 		return false, false
 	}
-	i := Hash(key) & t.mask
+	i := hash(key) & t.mask
 	for {
 		v := t.vals[i]
 		if v == 0 {
@@ -177,7 +174,7 @@ func (t *Table) LookupAux(key []uint64) (value bool, aux uint64, ok bool) {
 	if t.n == 0 {
 		return false, 0, false
 	}
-	i := Hash(key) & t.mask
+	i := hash(key) & t.mask
 	for {
 		v := t.vals[i]
 		if v == 0 {
@@ -247,6 +244,10 @@ func (t *Table) InternAuxOr(key []uint64, aux uint64) (fresh bool, old uint64) {
 	return true, 0
 }
 
+// ClearAux sets every entry's auxiliary word to zero, releasing the aux
+// array; keys and values stay.
+func (t *Table) ClearAux() { t.aux = nil }
+
 // setAux writes slot i's auxiliary word, allocating the aux array on the
 // first nonzero write (a nil array reads as all-zero).
 func (t *Table) setAux(i uint64, aux uint64) {
@@ -265,7 +266,7 @@ func (t *Table) probe(key []uint64) (slot uint64, found bool) {
 	if len(t.vals) == 0 {
 		t.rehash(minCapacity)
 	}
-	i := Hash(key) & t.mask
+	i := hash(key) & t.mask
 	for {
 		v := t.vals[i]
 		if v == 0 {
@@ -310,7 +311,7 @@ func (t *Table) rehash(capacity int) {
 			continue
 		}
 		key := oldKeys[i*t.words : (i+1)*t.words]
-		j := Hash(key) & t.mask
+		j := hash(key) & t.mask
 		for t.vals[j] != 0 {
 			j = (j + 1) & t.mask
 		}
@@ -358,9 +359,8 @@ func (t *Table) Range(fn func(key []uint64, value bool) bool) {
 // Words stride, value bits packed into a bitset, and auxiliary words (nil
 // when every entry's aux is zero). Snapshots are pure data — every field
 // is a uint64 slice or an int — so they gob- and JSON-encode without any
-// table internals leaking into the format, and they import into either
-// table variant regardless of which one exported them. Entry order is the
-// exporting table's iteration order; importers must not depend on it.
+// table internals leaking into the format. Entry order is the exporting
+// table's iteration order; importers must not depend on it.
 type Snapshot struct {
 	// Words is the fixed key width in uint64 words.
 	Words int
@@ -429,9 +429,17 @@ func (s *Snapshot) Validate() error {
 	return nil
 }
 
-// exportInto appends t's entries to snap (shared by both variants; the
-// Concurrent exporter calls it once per stripe under that stripe's lock).
-func (t *Table) exportInto(snap *Snapshot) {
+// Export copies the table's contents into a serializable snapshot, in
+// slot order.
+func (t *Table) Export() *Snapshot {
+	snap := &Snapshot{
+		Words: t.words,
+		Keys:  make([]uint64, 0, t.n*t.words),
+		Vals:  make([]uint64, (t.n+63)/64),
+	}
+	if t.aux != nil {
+		snap.Aux = make([]uint64, 0, t.n)
+	}
 	for i, v := range t.vals {
 		if v == 0 {
 			continue
@@ -442,32 +450,9 @@ func (t *Table) exportInto(snap *Snapshot) {
 		}
 		if t.aux != nil {
 			snap.Aux = append(snap.Aux, t.aux[i])
-		} else if snap.Aux != nil {
-			snap.Aux = append(snap.Aux, 0)
 		}
 		snap.Entries++
 	}
-}
-
-// newSnapshot sizes a snapshot for a table of n entries with the given key
-// width and aux presence. The value bitset is allocated for the final
-// count up front; keys and aux grow by append.
-func newSnapshot(words, n int, hasAux bool) *Snapshot {
-	s := &Snapshot{
-		Words: words,
-		Keys:  make([]uint64, 0, n*words),
-		Vals:  make([]uint64, (n+63)/64),
-	}
-	if hasAux {
-		s.Aux = make([]uint64, 0, n)
-	}
-	return s
-}
-
-// Export copies the table's contents into a serializable snapshot.
-func (t *Table) Export() *Snapshot {
-	snap := newSnapshot(t.words, t.n, t.aux != nil)
-	t.exportInto(snap)
 	return snap
 }
 
@@ -481,6 +466,14 @@ func (t *Table) Import(snap *Snapshot) error {
 	if snap.Words != t.words {
 		return fmt.Errorf("statetab: importing %d-word keys into a %d-word table", snap.Words, t.words)
 	}
+	// Size once for every entry. The entries arrive in the exporter's slot
+	// (hash) order, so inserting them into a table that doubles on the way
+	// piles them into long probe runs at every smaller capacity.
+	// capacityFor(total-1) is the capacity inserting total entries one by
+	// one would end at.
+	if total := t.n + snap.Entries; snap.Entries > 0 && total*maxLoadDen > len(t.vals)*maxLoadNum {
+		t.rehash(capacityFor(total - 1))
+	}
 	for i := 0; i < snap.Entries; i++ {
 		key := snap.Keys[i*snap.Words : (i+1)*snap.Words]
 		var aux uint64
@@ -490,219 +483,4 @@ func (t *Table) Import(snap *Snapshot) error {
 		t.StoreAux(key, snap.val(i), aux)
 	}
 	return nil
-}
-
-// Export copies the striped table's contents into one serializable
-// snapshot, locking one stripe at a time (call it only after the workers
-// have quiesced).
-func (c *Concurrent) Export() *Snapshot {
-	n, hasAux := 0, false
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		n += s.t.n
-		hasAux = hasAux || s.t.aux != nil
-		s.mu.Unlock()
-	}
-	snap := newSnapshot(c.words, n, hasAux)
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		s.t.exportInto(snap)
-		s.mu.Unlock()
-	}
-	return snap
-}
-
-// Import inserts every snapshot entry into the striped table, replacing
-// the value and aux word of any key already present.
-func (c *Concurrent) Import(snap *Snapshot) error {
-	if err := snap.Validate(); err != nil {
-		return err
-	}
-	if snap.Words != c.words {
-		return fmt.Errorf("statetab: importing %d-word keys into a %d-word table", snap.Words, c.words)
-	}
-	for i := 0; i < snap.Entries; i++ {
-		key := snap.Keys[i*snap.Words : (i+1)*snap.Words]
-		var aux uint64
-		if snap.Aux != nil {
-			aux = snap.Aux[i]
-		}
-		c.StoreAux(key, snap.val(i), aux)
-	}
-	return nil
-}
-
-// stripeCount is the fixed stripe fan-out of Concurrent (a power of two).
-// 64 stripes keep worker collisions rare at realistic worker counts while
-// bounding per-table fixed cost.
-const stripeCount = 64
-
-// stripe pads each lock+table pair to its own cache lines so stripe locks
-// on adjacent indices do not false-share.
-type stripe struct {
-	mu sync.Mutex
-	t  Table
-	_  [24]byte
-}
-
-// Concurrent is a lock-striped Table safe for concurrent use: keys hash
-// onto one of 64 stripes (by the high hash bits, independent of the
-// in-stripe probe sequence) and each stripe is a private Table under its
-// own mutex.
-type Concurrent struct {
-	words   int
-	stripes [stripeCount]stripe
-}
-
-// NewConcurrent returns a striped table for keys of the given word width,
-// sized for about hint entries spread across the stripes.
-func NewConcurrent(words, hint int) *Concurrent {
-	if words < 1 {
-		words = 1
-	}
-	c := &Concurrent{words: words}
-	for i := range c.stripes {
-		st := &c.stripes[i].t
-		st.words = words
-		if hint > 0 {
-			st.rehash(capacityFor(hint / stripeCount))
-		}
-	}
-	return c
-}
-
-// stripeFor selects a stripe by the hash's high bits (the in-stripe probe
-// index uses the low bits, so the two are independent).
-func (c *Concurrent) stripeFor(key []uint64) *stripe {
-	return &c.stripes[Hash(key)>>(64-6)]
-}
-
-// Words returns the fixed key width in uint64 words.
-func (c *Concurrent) Words() int { return c.words }
-
-// Lookup returns the value stored for key and whether it is present.
-func (c *Concurrent) Lookup(key []uint64) (value, ok bool) {
-	s := c.stripeFor(key)
-	s.mu.Lock()
-	value, ok = s.t.Lookup(key)
-	s.mu.Unlock()
-	return value, ok
-}
-
-// Store sets key's value, inserting it if absent.
-func (c *Concurrent) Store(key []uint64, value bool) {
-	s := c.stripeFor(key)
-	s.mu.Lock()
-	s.t.Store(key, value)
-	s.mu.Unlock()
-}
-
-// Intern inserts key with value false if absent and reports whether this
-// call inserted it.
-func (c *Concurrent) Intern(key []uint64) (fresh bool) {
-	s := c.stripeFor(key)
-	s.mu.Lock()
-	fresh = s.t.Intern(key)
-	s.mu.Unlock()
-	return fresh
-}
-
-// LookupAux returns the value and auxiliary word stored for key, and
-// whether the key is present.
-func (c *Concurrent) LookupAux(key []uint64) (value bool, aux uint64, ok bool) {
-	s := c.stripeFor(key)
-	s.mu.Lock()
-	value, aux, ok = s.t.LookupAux(key)
-	s.mu.Unlock()
-	return value, aux, ok
-}
-
-// StoreAux sets key's value and auxiliary word, inserting the key if
-// absent.
-func (c *Concurrent) StoreAux(key []uint64, value bool, aux uint64) {
-	s := c.stripeFor(key)
-	s.mu.Lock()
-	s.t.StoreAux(key, value, aux)
-	s.mu.Unlock()
-}
-
-// InternAux inserts key with value false and the given auxiliary word if
-// absent, or AND-merges aux into the existing entry's word under the
-// stripe lock (so concurrent inserts of one key combine deterministically
-// regardless of arrival order).
-func (c *Concurrent) InternAux(key []uint64, aux uint64) (fresh bool) {
-	s := c.stripeFor(key)
-	s.mu.Lock()
-	fresh = s.t.InternAux(key, aux)
-	s.mu.Unlock()
-	return fresh
-}
-
-// InternAuxOr inserts key with the given auxiliary word if absent, or
-// OR-merges aux into the existing entry's word under the stripe lock,
-// returning the pre-merge word. Concurrent callers racing on one key each
-// see a distinct pre-merge snapshot, so the bits one caller was first to
-// set (aux &^ old) partition the work exactly once across callers.
-func (c *Concurrent) InternAuxOr(key []uint64, aux uint64) (fresh bool, old uint64) {
-	s := c.stripeFor(key)
-	s.mu.Lock()
-	fresh, old = s.t.InternAuxOr(key, aux)
-	s.mu.Unlock()
-	return fresh, old
-}
-
-// Len returns the total entries across all stripes.
-func (c *Concurrent) Len() int {
-	n := 0
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		n += s.t.n
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Stats aggregates occupancy across all stripes (Load is entries over
-// total capacity).
-func (c *Concurrent) Stats() Stats {
-	var agg Stats
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		st := s.t.Stats()
-		s.mu.Unlock()
-		agg.Entries += st.Entries
-		agg.Capacity += st.Capacity
-		agg.Bytes += st.Bytes
-		agg.Grows += st.Grows
-	}
-	if agg.Capacity > 0 {
-		agg.Load = float64(agg.Entries) / float64(agg.Capacity)
-	}
-	return agg
-}
-
-// Range calls fn for every entry across all stripes until fn returns
-// false. It locks one stripe at a time; concurrent mutation is undefined
-// (call it only after the workers have quiesced).
-func (c *Concurrent) Range(fn func(key []uint64, value bool) bool) {
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		stop := false
-		s.t.Range(func(key []uint64, value bool) bool {
-			if !fn(key, value) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		s.mu.Unlock()
-		if stop {
-			return
-		}
-	}
 }

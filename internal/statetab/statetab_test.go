@@ -3,7 +3,6 @@ package statetab
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -106,89 +105,6 @@ func TestTableMatchesBuiltinMap(t *testing.T) {
 				t.Fatalf("stats after heavy load: %+v (want growth and load <= %d/%d)", st, maxLoadNum, maxLoadDen)
 			}
 		})
-	}
-}
-
-// TestConcurrentMatchesBuiltinMap hammers a Concurrent table from several
-// goroutines with deterministic disjoint-and-overlapping key sets, then
-// verifies the merged contents against a sequentially computed reference.
-// Run under -race this also checks the striping for data races.
-func TestConcurrentMatchesBuiltinMap(t *testing.T) {
-	const words, workers, perWorker = 3, 8, 4000
-	c := NewConcurrent(words, 0)
-
-	// Pre-generate per-worker op sequences so the reference is computable:
-	// Intern never overwrites, Store(true) is idempotent — both commute, so
-	// any interleaving yields the same final table.
-	type opRec struct {
-		key   []uint64
-		store bool // Store(key,true) vs Intern
-	}
-	ops := make([][]opRec, workers)
-	shared := rand.New(rand.NewSource(99))
-	sharedKeys := make([][]uint64, 512)
-	for i := range sharedKeys {
-		sharedKeys[i] = randKey(shared, words)
-	}
-	for w := range ops {
-		rng := rand.New(rand.NewSource(int64(w) + 1))
-		for i := 0; i < perWorker; i++ {
-			var key []uint64
-			if rng.Intn(2) == 0 {
-				key = sharedKeys[rng.Intn(len(sharedKeys))]
-			} else {
-				key = randKey(rng, words)
-			}
-			ops[w] = append(ops[w], opRec{key: key, store: rng.Intn(3) == 0})
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, op := range ops[w] {
-				if op.store {
-					c.Store(op.key, true)
-				} else {
-					c.Intern(op.key)
-					c.Lookup(op.key)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	ref := map[string]bool{}
-	for w := range ops {
-		for _, op := range ops[w] {
-			sk := mapKey(op.key)
-			if op.store {
-				ref[sk] = true
-			} else if _, ok := ref[sk]; !ok {
-				ref[sk] = false
-			}
-		}
-	}
-	if c.Len() != len(ref) {
-		t.Fatalf("Len=%d, reference has %d", c.Len(), len(ref))
-	}
-	got := map[string]bool{}
-	c.Range(func(key []uint64, v bool) bool {
-		got[mapKey(key)] = v
-		return true
-	})
-	if len(got) != len(ref) {
-		t.Fatalf("Range yielded %d entries, reference has %d", len(got), len(ref))
-	}
-	for sk, want := range ref {
-		if v, ok := got[sk]; !ok || v != want {
-			t.Fatalf("entry %s: got (%v,%v), want (%v,true)", sk, v, ok, want)
-		}
-	}
-	if st := c.Stats(); st.Entries != len(ref) || st.Bytes == 0 {
-		t.Fatalf("aggregate stats %+v inconsistent with %d entries", st, len(ref))
 	}
 }
 
@@ -321,7 +237,8 @@ func TestAuxMatchesBuiltinMap(t *testing.T) {
 
 // TestAuxLazyAllocation pins the cost model: a table whose aux words are
 // all zero must never allocate the aux array (its Bytes stay those of a
-// plain table), and LookupAux on such a table reads aux 0.
+// plain table), and LookupAux on such a table reads aux 0. ClearAux
+// returns a table with nonzero aux words to that state.
 func TestAuxLazyAllocation(t *testing.T) {
 	tab := New(2, 0)
 	plain := New(2, 0)
@@ -337,58 +254,19 @@ func TestAuxLazyAllocation(t *testing.T) {
 	}
 	probe := randKey(rng, 2)
 	tab.Store(probe, false)
+	plain.Store(probe, false)
 	if _, aux, ok := tab.LookupAux(probe); !ok || aux != 0 {
 		t.Fatalf("LookupAux without aux array = (_, %#x, %v), want (_, 0, true)", aux, ok)
 	}
-}
 
-// TestConcurrentInternAuxMerges checks that racing InternAux calls on the
-// same keys converge to the AND of every contribution regardless of
-// interleaving (AND is commutative and associative, so the reference is
-// order-independent), and that value bits written by Store survive. Run
-// under -race this exercises the stripe locking of the aux path.
-func TestConcurrentInternAuxMerges(t *testing.T) {
-	const words, workers, nKeys, rounds = 2, 8, 256, 50
-	c := NewConcurrent(words, 0)
-	shared := rand.New(rand.NewSource(42))
-	keys := make([][]uint64, nKeys)
-	want := make([]uint64, nKeys)
-	contrib := make([][]uint64, workers)
-	seen := map[string]bool{} // the biased generator repeats keys; dedupe so per-key expectations hold
-	for i := range keys {
-		for keys[i] == nil || seen[mapKey(keys[i])] {
-			keys[i] = randKey(shared, words)
-		}
-		seen[mapKey(keys[i])] = true
-		want[i] = ^uint64(0)
+	tab.StoreAux(probe, true, 7)
+	plain.Store(probe, true)
+	tab.ClearAux()
+	if tb, pb := tab.Stats().Bytes, plain.Stats().Bytes; tb != pb {
+		t.Fatalf("table holds %d bytes after ClearAux, plain table %d", tb, pb)
 	}
-	for w := range contrib {
-		contrib[w] = make([]uint64, nKeys)
-		rng := rand.New(rand.NewSource(int64(w) * 31))
-		for i := range contrib[w] {
-			contrib[w][i] = rng.Uint64()
-			want[i] &= contrib[w][i]
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for i := range keys {
-					c.InternAux(keys[i], contrib[w][i])
-					c.LookupAux(keys[i])
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i := range keys {
-		_, aux, ok := c.LookupAux(keys[i])
-		if !ok || aux != want[i] {
-			t.Fatalf("key %d: aux=%#x ok=%v, want %#x", i, aux, ok, want[i])
-		}
+	if v, aux, ok := tab.LookupAux(probe); !ok || !v || aux != 0 {
+		t.Fatalf("LookupAux after ClearAux = (%v, %#x, %v), want (true, 0, true)", v, aux, ok)
 	}
 }
 

@@ -297,3 +297,31 @@ func SeededRaces(pairs int, guardedFraction float64) (*model.Execution, int, err
 	}
 	return x, racy, nil
 }
+
+// Corpus returns a deterministic spread of small generated executions
+// covering semaphores, event variables, fork/join and shared-variable
+// accesses, for tests that check a property over many trace shapes.
+func Corpus() ([]*model.Execution, error) {
+	var xs []*model.Execution
+	var firstErr error
+	add := func(x *model.Execution, err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		xs = append(xs, x)
+	}
+	add(Mutex(2, 2))
+	add(ProducerConsumer(2, 2, 2))
+	add(Pipeline(3))
+	add(ForkJoinTree(3))
+	add(Barrier(3))
+	for seed := int64(1); seed <= 4; seed++ {
+		add(Random(rand.New(rand.NewSource(seed)), RandomOptions{
+			Procs: 3, OpsPerProc: 4, Sems: 2, SemInit: 1, Events: 2, Vars: 2,
+		}))
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return xs, nil
+}

@@ -3,12 +3,12 @@ package service
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"fmt"
+	"sort"
 	"sync"
 
 	"eventorder/internal/model"
-	"eventorder/internal/traceio"
 )
 
 // resultCache is a byte-budgeted LRU over marshaled analysis results,
@@ -113,16 +113,93 @@ func (c *resultCache) len() int {
 	return len(c.entries)
 }
 
-// executionDigest hashes an execution's canonical serialization (the
-// traceio wire form is deterministic: dense ids, sorted semaphore and
-// event-variable names). The digest is the content address the cache and
-// job ids build on.
-func executionDigest(x *model.Execution) (string, error) {
-	h := sha256.New()
-	if err := traceio.SaveExecution(h, x); err != nil {
-		return "", fmt.Errorf("service: hashing execution: %w", err)
+// digestTag opens every execution digest. It names the field layout
+// below; change it whenever the layout changes.
+const digestTag = "eventorder execution digest v2"
+
+// executionDigest is the content address result-cache keys build on:
+// sha256 over exactly the fields the traceio wire form carries, each
+// string and list length-prefixed, with semaphores and event variables in
+// name order. A program and its recorded trace therefore share a digest
+// (digest(x) == digest(LoadExecution(SaveExecution(x)))), and a nil slice
+// or map hashes like an empty one. It does not validate x: LoadExecution
+// validates traces and the interpreter validates the executions it builds.
+func executionDigest(x *model.Execution) string {
+	var e digestInput = make([]byte, 0, 1024)
+	e.str(digestTag)
+	e.uint(len(x.Procs))
+	for i := range x.Procs {
+		p := &x.Procs[i]
+		e.str(p.Name)
+		e.int(int(p.Parent))
+		e.int(int(p.ForkOp))
+		e.ids(p.Ops)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	e.uint(len(x.Events))
+	for i := range x.Events {
+		ev := &x.Events[i]
+		e.int(int(ev.Proc))
+		e.int(int(ev.Kind))
+		e.str(ev.Obj)
+		e.str(ev.Label)
+		e.ids(ev.Ops)
+	}
+	e.uint(len(x.Ops))
+	for i := range x.Ops {
+		op := &x.Ops[i]
+		e.int(int(op.Proc))
+		e.int(int(op.Event))
+		e.int(int(op.Kind))
+		e.str(op.Obj)
+		e.str(op.Stmt)
+	}
+	e.uint(len(x.Sems))
+	for _, name := range x.SemNames() {
+		decl := x.Sems[name]
+		e.str(name)
+		e.int(decl.Init)
+		e.bool(decl.Kind == model.SemBinary)
+	}
+	vars := make([]string, 0, len(x.EvInit))
+	for name := range x.EvInit {
+		vars = append(vars, name)
+	}
+	sort.Strings(vars)
+	e.uint(len(vars))
+	for _, name := range vars {
+		e.str(name)
+		e.bool(x.EvInit[name])
+	}
+	e.ids(x.Order)
+	sum := sha256.Sum256(e)
+	return hex.EncodeToString(sum[:])
+}
+
+// digestInput is the byte string executionDigest hashes.
+type digestInput []byte
+
+func (e *digestInput) uint(v int) { *e = binary.AppendUvarint(*e, uint64(v)) }
+
+func (e *digestInput) int(v int) { *e = binary.AppendVarint(*e, int64(v)) }
+
+func (e *digestInput) str(s string) {
+	e.uint(len(s))
+	*e = append(*e, s...)
+}
+
+func (e *digestInput) bool(v bool) {
+	if v {
+		*e = append(*e, 1)
+	} else {
+		*e = append(*e, 0)
+	}
+}
+
+func (e *digestInput) ids(ids []model.OpID) {
+	e.uint(len(ids))
+	for _, id := range ids {
+		e.int(int(id))
+	}
 }
 
 // cacheKey combines the execution digest with the canonical query

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
 	"eventorder/internal/gen"
+	"eventorder/internal/interp"
+	"eventorder/internal/lang"
+	"eventorder/internal/model"
+	"eventorder/internal/traceio"
 )
 
 func testCache(budget int64) (*resultCache, *Registry) {
@@ -116,7 +122,10 @@ func TestCachePutIdempotent(t *testing.T) {
 }
 
 // TestExecutionDigestIsContentAddressed: structurally identical executions
-// hash equal; a different execution hashes different.
+// hash equal; a different execution hashes different. The digest survives
+// a trace round trip, so a program and its recorded trace share cache
+// entries; every field the wire form carries moves it; and nil and empty
+// lists and maps hash alike.
 func TestExecutionDigestIsContentAddressed(t *testing.T) {
 	a, err := gen.Mutex(2, 2)
 	if err != nil {
@@ -130,18 +139,7 @@ func TestExecutionDigestIsContentAddressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	da, err := executionDigest(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := executionDigest(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	do, err := executionDigest(other)
-	if err != nil {
-		t.Fatal(err)
-	}
+	da, db, do := executionDigest(a), executionDigest(b), executionDigest(other)
 	if da != db {
 		t.Errorf("identical executions digest differently: %s vs %s", da, db)
 	}
@@ -151,6 +149,127 @@ func TestExecutionDigestIsContentAddressed(t *testing.T) {
 	if k1, k2 := cacheKey(da, "analyze"), cacheKey(da, "races"); k1 == k2 {
 		t.Error("distinct descriptors share a cache key")
 	}
+
+	t.Run("round trip", func(t *testing.T) {
+		xs, err := gen.Corpus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		programs, err := filepath.Glob("../../testdata/*.evo")
+		if err != nil || len(programs) == 0 {
+			t.Fatalf("no testdata programs: %v", err)
+		}
+		for _, path := range programs {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := lang.Parse(string(src))
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			res, err := interp.RunAvoidingDeadlock(prog, 64, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			xs = append(xs, res.X)
+		}
+		for i, x := range xs {
+			y, err := traceio.LoadExecution(bytes.NewReader(executionJSON(t, x)))
+			if err != nil {
+				t.Fatalf("execution %d: %v", i, err)
+			}
+			if dx, dy := executionDigest(x), executionDigest(y); dx != dy {
+				t.Errorf("execution %d: digest %s changes to %s across a trace round trip", i, dx, dy)
+			}
+		}
+	})
+
+	t.Run("one-field mutations", func(t *testing.T) {
+		base := digestSample(t)
+		saved := executionJSON(t, base)
+		want := executionDigest(base)
+		for _, m := range []struct {
+			name   string
+			mutate func(x *model.Execution)
+		}{
+			{"proc name", func(x *model.Execution) { x.Procs[1].Name = "other" }},
+			{"proc parent", func(x *model.Execution) { x.Procs[1].Parent = 1 }},
+			{"proc fork op", func(x *model.Execution) { x.Procs[1].ForkOp = 2 }},
+			{"event label", func(x *model.Execution) { x.Events[0].Label = "z" }},
+			{"event obj", func(x *model.Execution) { x.Events[3].Obj = "m" }},
+			{"event kind", func(x *model.Execution) { x.Events[3].Kind = model.OpAcquire }},
+			{"op stmt", func(x *model.Execution) { x.Ops[0].Stmt = "write y" }},
+			{"op obj", func(x *model.Execution) { x.Ops[0].Obj = "y" }},
+			{"string boundary", func(x *model.Execution) { x.Ops[0].Obj, x.Ops[0].Stmt = "xw", "rite x" }},
+			{"sem init", func(x *model.Execution) { s := x.Sems["s"]; s.Init = 1; x.Sems["s"] = s }},
+			{"sem binary", func(x *model.Execution) { s := x.Sems["m"]; s.Kind = model.SemCounting; x.Sems["m"] = s }},
+			{"event variable posted", func(x *model.Execution) { x.EvInit["e"] = false }},
+			{"event variable declared", func(x *model.Execution) { x.EvInit["f"] = false }},
+			{"order", func(x *model.Execution) { x.Order[5], x.Order[6] = x.Order[6], x.Order[5] }},
+		} {
+			x, err := traceio.LoadExecution(bytes.NewReader(saved))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := executionDigest(x); got != want {
+				t.Fatalf("%s: reloaded sample digests %s, want %s", m.name, got, want)
+			}
+			m.mutate(x)
+			if executionDigest(x) == want {
+				t.Errorf("%s: mutation left the digest unchanged", m.name)
+			}
+		}
+	})
+
+	t.Run("nil and empty", func(t *testing.T) {
+		b := model.NewBuilder()
+		b.Proc("A0")
+		x, err := b.BuildWithOrder(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty := &model.Execution{
+			Procs:  []model.Proc{{Name: "A0", Ops: []model.OpID{}, Parent: model.NoID, ForkOp: model.NoID}},
+			Events: []model.Event{},
+			Ops:    []model.Op{},
+			Sems:   map[string]model.Semaphore{},
+			EvInit: map[string]bool{},
+			Order:  []model.OpID{},
+		}
+		none := &model.Execution{
+			Procs: []model.Proc{{Name: "A0", Parent: model.NoID, ForkOp: model.NoID}},
+		}
+		d := executionDigest(x)
+		if executionDigest(empty) != d || executionDigest(none) != d {
+			t.Errorf("nil and empty lists and maps digest differently: built %s, empty %s, nil %s",
+				d, executionDigest(empty), executionDigest(none))
+		}
+	})
+}
+
+// digestSample builds a small execution that uses every field the trace
+// format carries: a fork and join, counting and binary semaphores, an
+// initially posted event variable, labels, objects and statements.
+func digestSample(t *testing.T) *model.Execution {
+	t.Helper()
+	b := model.NewBuilder()
+	b.Sem("s", 0, model.SemCounting)
+	b.Sem("m", 1, model.SemBinary)
+	b.EventVar("e", true)
+	main := b.Proc("main")
+	main.Label("a").Write("x")
+	child := main.Fork("child")
+	child.Wait("e")
+	child.V("s")
+	main.P("s")
+	main.Join("child")
+	main.Label("b").Read("x")
+	x, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
 }
 
 func TestHistogramSnapshotCumulative(t *testing.T) {

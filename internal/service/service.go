@@ -793,11 +793,7 @@ func (s *Server) resolveExecution(src *ExecutionSource) (*model.Execution, strin
 	default:
 		return nil, "", fmt.Errorf("service: request needs a program or an execution")
 	}
-	digest, err := executionDigest(x)
-	if err != nil {
-		return nil, "", err
-	}
-	return x, digest, nil
+	return x, executionDigest(x), nil
 }
 
 func (s *Server) timeout(ms int64) time.Duration {

@@ -191,6 +191,30 @@ func TestCacheContentAddressing(t *testing.T) {
 	}
 }
 
+// TestEventFreeProgram: a program with no events runs to an execution with
+// no ops and no order, which is valid. Whole-execution queries answer 200
+// and a pair query answers 400 for its missing labels.
+func TestEventFreeProgram(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const prog = "proc A0 {}"
+	for _, c := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/analyze", map[string]any{"program": prog, "all": true}},
+		{"/v1/races", map[string]any{"program": prog}},
+	} {
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d, want 200: %s", c.path, resp.StatusCode, body)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{"program": prog, "rel": "MHB", "a": "a", "b": "b"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "no event labeled") {
+		t.Errorf("pair query: status %d, want 400 naming the missing label: %s", resp.StatusCode, body)
+	}
+}
+
 // matrixFromResponse normalizes a MatrixResult's pairs for comparison.
 func matrixFromResponse(m MatrixResult, rel string) [][2]int {
 	pairs := append([][2]int(nil), m.Relations[rel]...)

@@ -2,7 +2,9 @@ package traceio
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,36 +22,32 @@ func saveBytes(t testing.TB, x *model.Execution) []byte {
 	return buf.Bytes()
 }
 
-// corpus builds a deterministic spread of generated executions covering
-// semaphores, event variables, fork/join, and shared-variable accesses.
+// corpus is gen.Corpus, failing the test on error.
 func corpus(t testing.TB) []*model.Execution {
 	t.Helper()
-	var xs []*model.Execution
-	add := func(x *model.Execution, err error) {
-		if err != nil {
-			t.Fatalf("generator: %v", err)
-		}
-		xs = append(xs, x)
-	}
-	add(gen.Mutex(2, 2))
-	add(gen.ProducerConsumer(2, 2, 2))
-	add(gen.Pipeline(3))
-	add(gen.ForkJoinTree(3))
-	add(gen.Barrier(3))
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		add(gen.Random(rng, gen.RandomOptions{
-			Procs: 3, OpsPerProc: 4, Sems: 2, SemInit: 1, Events: 2, Vars: 2,
-		}))
+	xs, err := gen.Corpus()
+	if err != nil {
+		t.Fatalf("generator: %v", err)
 	}
 	return xs
 }
 
 // TestRoundTripGenerated checks Save→Load→Save byte-for-byte stability on
-// every corpus execution (the serialization is canonical: sorted semaphore
-// names, dense ids, deterministic map encoding).
+// every corpus execution and two larger traces (the serialization is
+// canonical: sorted semaphore names, dense ids, deterministic map
+// encoding). Each is decoded by the one-pass path, not the fallback, both
+// as SaveExecution writes it and compacted as a json.RawMessage request
+// field carries it, into the execution the reference decode returns.
 func TestRoundTripGenerated(t *testing.T) {
-	for i, x := range corpus(t) {
+	ring, err := gen.Barrier(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := gen.ForkJoinTree(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range append(corpus(t), ring, tree) {
 		first := saveBytes(t, x)
 		loaded, err := LoadExecution(bytes.NewReader(first))
 		if err != nil {
@@ -58,6 +56,26 @@ func TestRoundTripGenerated(t *testing.T) {
 		second := saveBytes(t, loaded)
 		if !bytes.Equal(first, second) {
 			t.Errorf("corpus %d: round trip not canonical:\nfirst:  %s\nsecond: %s", i, first, second)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, first); err != nil {
+			t.Fatal(err)
+		}
+		for form, b := range map[string][]byte{"indented": first, "compact": compact.Bytes()} {
+			got, onePass, err := load(bytes.NewReader(b))
+			if err != nil {
+				t.Fatalf("corpus %d %s: %v", i, form, err)
+			}
+			if !onePass {
+				t.Errorf("corpus %d %s: decoded by the fallback, not the one-pass path", i, form)
+			}
+			want, err := loadReference(bytes.NewReader(b))
+			if err != nil {
+				t.Fatalf("corpus %d %s: reference decode: %v", i, form, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("corpus %d %s: one-pass execution differs from the reference decode", i, form)
+			}
 		}
 	}
 }
@@ -100,7 +118,12 @@ func FuzzRoundTrip(f *testing.F) {
 func FuzzLoadExecution(f *testing.F) {
 	for _, x := range corpus(f) {
 		b := saveBytes(f, x)
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, b); err != nil {
+			f.Fatal(err)
+		}
 		f.Add(b)
+		f.Add(compact.Bytes())
 		f.Add(b[:len(b)/2])           // truncated
 		f.Add(bytes.TrimSpace(b[1:])) // decapitated
 	}
@@ -110,7 +133,26 @@ func FuzzLoadExecution(f *testing.F) {
 		`"events":[{"proc":9,"kind":"nop","ops":[0]}],"ops":[{"proc":0,"event":0,"kind":"nop"}],"order":[0]}`))
 	f.Add([]byte(`{"version":1,"procs":[{"name":"p","ops":[0],"parent":-1,"forkOp":-1}],` +
 		`"events":[{"proc":0,"kind":"nop","ops":[99]}],"ops":[{"proc":0,"event":0,"kind":"nop"}],"order":[0]}`))
+	f.Add([]byte(`{"version":1,"procs":[],"events":[],"ops":[],"order":[]}`))
+	// An empty op list after a non-empty one must still decode to nil.
+	f.Add([]byte(`{"version":1,"procs":[{"name":"p","ops":[0],"parent":-1,"forkOp":-1},` +
+		`{"name":"q","ops":[],"parent":-1,"forkOp":-1}],` +
+		`"events":[{"proc":0,"kind":"nop","ops":[0]}],"ops":[{"proc":0,"event":0,"kind":"nop"}],"order":[0]}`))
+	f.Add([]byte(`{"version":1,"procs":[{"name":"p","ops":[0],"parent":-1,"forkOp":-1}],` +
+		`"events":[{"proc":0,"kind":"nop","ops":[0]}],"ops":[{"proc":0,"event":0,"kind":"nop"}],` +
+		`"eventVars":{"e":true},"order":[0]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The one-pass path may refuse anything, but what it accepts the
+		// reference decode must accept, into the same execution.
+		if fast, ok := decodeCanonical(string(data)); ok {
+			ref, err := loadReference(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("one-pass decode accepted what the reference rejects (%v):\n%s", err, data)
+			}
+			if !reflect.DeepEqual(fast, ref) {
+				t.Fatalf("one-pass decode differs from the reference:\n%s\none-pass:  %+v\nreference: %+v", data, fast, ref)
+			}
+		}
 		x, err := LoadExecution(bytes.NewReader(data))
 		if err != nil {
 			if !strings.Contains(err.Error(), "traceio:") && !strings.Contains(err.Error(), "model:") {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"eventorder/internal/model"
 )
@@ -127,7 +128,43 @@ func SaveExecution(w io.Writer, x *model.Execution) error {
 }
 
 // LoadExecution reads an execution saved by SaveExecution and validates it.
+// It reads r to EOF. Input in the canonical form SaveExecution writes,
+// indented or compacted, is decoded in one pass; any other input takes the
+// reference encoding/json decode. Both accept the same inputs and return
+// the same execution or error.
 func LoadExecution(r io.Reader) (*model.Execution, error) {
+	x, _, err := load(r)
+	return x, err
+}
+
+// load is LoadExecution that also reports whether the one-pass decoder
+// produced x.
+func load(r io.Reader) (x *model.Execution, onePass bool, err error) {
+	var src strings.Builder
+	if n, ok := r.(interface{ Len() int }); ok {
+		src.Grow(n.Len())
+	}
+	if _, err := io.Copy(&src, r); err != nil {
+		// The reference decode sees the bytes read so far, then the error,
+		// as it would have reading r itself.
+		x, err := loadReference(io.MultiReader(strings.NewReader(src.String()), errReader{err}))
+		return x, false, err
+	}
+	if x, ok := decodeCanonical(src.String()); ok {
+		return x, true, nil
+	}
+	x, err = loadReference(strings.NewReader(src.String()))
+	return x, false, err
+}
+
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// loadReference is the encoding/json decode of the trace format. It
+// accepts every input LoadExecution accepts and words every error
+// LoadExecution returns.
+func loadReference(r io.Reader) (*model.Execution, error) {
 	var in executionJSON
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&in); err != nil {

@@ -2,8 +2,14 @@ package traceio
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"eventorder/internal/model"
 )
@@ -113,5 +119,124 @@ func TestRelationRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadRelation(strings.NewReader(`{"name":"x","n":2,"pairs":[[0,9]]}`)); err == nil {
 		t.Error("out-of-range pair accepted")
+	}
+}
+
+// TestOnePassSubsetBoundary edits a compact canonical trace into inputs
+// just outside the one-pass subset. Each must take the fallback and come
+// out exactly as the reference decode has it: the same execution, or the
+// same error text.
+func TestOnePassSubsetBoundary(t *testing.T) {
+	var buf, compact bytes.Buffer
+	if err := SaveExecution(&buf, sample(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&compact, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	base := compact.String()
+	if _, onePass, err := load(strings.NewReader(base)); err != nil || !onePass {
+		t.Fatalf("base trace: onePass=%t err=%v", onePass, err)
+	}
+	edits := []struct{ name, old, new string }{
+		{"escape", `"name":"main"`, `"name":"m\u0061in"`},
+		{"escaped html", `"label":"a"`, `"label":"\u003ca\u003e"`},
+		{"non-ascii", `"label":"a"`, `"label":"é"`},
+		{"control byte", `"label":"a"`, "\"label\":\"a\tb\""},
+		{"null string", `"label":"a",`, `"label":null,`},
+		{"null list", `"order":[0,1,2,3,4,5,6]`, `"order":null`},
+		{"null top-level list", `"sems":[{"name":"m","init":1,"binary":true},{"name":"s","init":0}],`, `"sems":null,`},
+		{"unknown key", `{"version":1,`, `{"version":1,"extra":[1,{"a":null}],`},
+		{"case-folded key", `"version":1`, `"Version":1`},
+		{"duplicate key", `"version":1`, `"version":1,"version":1`},
+		{"duplicate nested key", `"init":0}`, `"init":0,"init":0}`},
+		{"duplicate event variable", `"eventVars":{"e":true}`, `"eventVars":{"e":false,"e":true}`},
+		{"float", `"init":0}`, `"init":0.0}`},
+		{"exponent", `"init":1,`, `"init":1e0,`},
+		{"leading zero", `"init":1,`, `"init":01,`},
+		{"negative zero", `"parent":0`, `"parent":-0`},
+		{"huge integer", `"init":1,`, `"init":99999999999999999999,`},
+		{"string for int", `"init":1,`, `"init":"1",`},
+		{"trailing data", "}\n", `} {"version":2}`},
+		{"trailing comma", `"order":[0,1,2,3,4,5,6]`, `"order":[0,1,2,3,4,5,6,]`},
+		{"truncated", `,"order":[0,1,2,3,4,5,6]}`, `,"order":[0,1,2,`},
+		{"wrong version", `"version":1`, `"version":2`},
+		{"unknown kind", `"kind":"nop","label":"a"`, `"kind":"zap","label":"a"`},
+		{"missing kind", `"kind":"nop","label":"a",`, `"label":"a",`},
+		{"proc out of range", `{"proc":1,"kind":"wait"`, `{"proc":7,"kind":"wait"`},
+		{"event op out of range", `"label":"b","ops":[6]`, `"label":"b","ops":[60]`},
+		{"order out of range", `"order":[0,1,2,3,4,5,6]`, `"order":[0,1,2,3,4,5,66]`},
+		{"invalid order", `"order":[0,1,2,3,4,5,6]`, `"order":[0,1,2,4,3,5,6]`},
+		{"negative init", `"init":0}`, `"init":-1}`},
+	}
+	for _, e := range edits {
+		src := strings.Replace(base+"\n", e.old, e.new, 1)
+		if src == base+"\n" {
+			t.Fatalf("%s: edit %q not found in %s", e.name, e.old, base)
+		}
+		got, onePass, err := load(strings.NewReader(src))
+		if onePass {
+			t.Errorf("%s: one-pass path accepted %s", e.name, src)
+		}
+		want, wantErr := loadReference(strings.NewReader(src))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: LoadExecution = %v, %v; reference decode = %v, %v", e.name, got, err, want, wantErr)
+		}
+	}
+}
+
+// TestEventFreeRoundTrip: an execution with no events, as the interpreter
+// builds for `proc A0 {}`, saves, loads (through the fallback, since
+// SaveExecution writes null for its empty lists) and saves again
+// byte-for-byte.
+func TestEventFreeRoundTrip(t *testing.T) {
+	b := model.NewBuilder()
+	b.Proc("A0")
+	x, err := b.BuildWithOrder(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first bytes.Buffer
+	if err := SaveExecution(&first, x); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	y, onePass, err := load(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("Load: %v\n%s", err, first.Bytes())
+	}
+	if onePass {
+		t.Errorf("one-pass path accepted a trace with null lists:\n%s", first.Bytes())
+	}
+	var second bytes.Buffer
+	if err := SaveExecution(&second, y); err != nil {
+		t.Fatalf("re-Save: %v", err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("round trip not canonical:\nfirst:  %s\nsecond: %s", first.Bytes(), second.Bytes())
+	}
+}
+
+// TestLoadReadError: LoadExecution reads its input to EOF before decoding,
+// but a read error reaches the reference decode after the bytes read before
+// it, so the result is what decoding the reader directly gives: a complete
+// trace before the error still loads, a cut one reports the error.
+func TestLoadReadError(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveExecution(&buf, sample(t)); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	for _, n := range []int{buf.Len(), buf.Len() / 2} {
+		reader := func() io.Reader {
+			return io.MultiReader(bytes.NewReader(buf.Bytes()[:n]), iotest.ErrReader(boom))
+		}
+		got, err := LoadExecution(reader())
+		want, wantErr := loadReference(reader())
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%d of %d bytes: LoadExecution = %v, %v; reference decode = %v, %v", n, buf.Len(), got, err, want, wantErr)
+		}
+		if complete := n == buf.Len(); complete != (err == nil) {
+			t.Errorf("%d of %d bytes: err = %v", n, buf.Len(), err)
+		}
 	}
 }

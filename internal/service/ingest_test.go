@@ -40,18 +40,28 @@ func ingestTraces(t testing.TB) map[string][]byte {
 }
 
 // Allocation bounds for TestIngestAllocs: the counts measured on the
-// compact barrier-ring5 trace with Go 1.24 (50 and 5) plus a little
+// compact barrier-ring5 trace with Go 1.24 (50, 5 and 65) plus a little
 // headroom. The one-pass decode replaced one that made 303 allocations,
 // and the field-by-field digest one that made 114.
 const (
 	loadAllocBound   = 60
 	digestAllocBound = 7
+	bodyAllocBound   = 75
 )
 
-// TestIngestAllocs bounds the allocations of the two fixed costs every
-// trace request pays before analysis: decoding the trace and hashing the
-// execution. Allocation counts are deterministic, unlike wall time.
+// TestIngestAllocs bounds the allocations of the fixed costs every trace
+// request pays before analysis: decoding the trace, hashing the execution,
+// and the two together with the request body around them (decodeRequest
+// then resolveExecution on the barrier-ring5 analyze body). Allocation
+// counts are deterministic, unlike wall time.
 func TestIngestAllocs(t *testing.T) {
+	body := traceBodies(t)["analyze/barrier-ring5"]
+	request := testing.AllocsPerRun(50, func() { decodeAndResolve(t, body) })
+	t.Logf("barrier-ring5 analyze body (%d B): decode and resolve %.0f allocs", len(body), request)
+	if request > bodyAllocBound {
+		t.Errorf("decoding and resolving the request made %.0f allocations, bound %d", request, bodyAllocBound)
+	}
+
 	src := ingestTraces(t)["barrier-ring5"]
 	x, err := traceio.LoadExecution(bytes.NewReader(src))
 	if err != nil {
@@ -69,6 +79,19 @@ func TestIngestAllocs(t *testing.T) {
 	}
 	if digest > digestAllocBound {
 		t.Errorf("executionDigest made %.0f allocations, bound %d", digest, digestAllocBound)
+	}
+}
+
+// decodeAndResolve is a trace request's ingestion: the body decode, then
+// resolveExecution.
+func decodeAndResolve(t testing.TB, body []byte) {
+	var req AnalyzeRequest
+	if _, err := decodeRequest(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if ingestX, ingestDigest, err = resolveExecution(&req.ExecutionSource); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -98,6 +121,14 @@ func BenchmarkIngest(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ingestDigest = executionDigest(x)
+			}
+		})
+	}
+	for name, body := range traceBodies(b) {
+		b.Run("request/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				decodeAndResolve(b, body)
 			}
 		})
 	}

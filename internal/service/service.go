@@ -409,6 +409,11 @@ type ExecutionSource struct {
 	// Tries bounds deadlock-avoiding rescheduling attempts (default 64,
 	// at most 256).
 	Tries int `json:"tries,omitempty"`
+
+	// decoded is Execution as the request body's one-pass decode already
+	// decoded it, so resolveExecution does not decode it again. It is nil
+	// whenever that path did not run, as after a journal replay.
+	decoded *model.Execution
 }
 
 // maxTries is the largest ExecutionSource.Tries a request may ask for;
@@ -745,20 +750,9 @@ func statusFor(err error) int {
 	}
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("service: bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
 // resolveExecution materializes the execution under analysis and its
 // canonical content digest.
-func (s *Server) resolveExecution(src *ExecutionSource) (*model.Execution, string, error) {
+func resolveExecution(src *ExecutionSource) (*model.Execution, string, error) {
 	var x *model.Execution
 	switch {
 	case src.Program != "" && src.Execution != nil:
@@ -784,6 +778,8 @@ func (s *Server) resolveExecution(src *ExecutionSource) (*model.Execution, strin
 			return nil, "", err
 		}
 		x = res.X
+	case src.decoded != nil:
+		x = src.decoded
 	case src.Execution != nil:
 		var err error
 		x, err = traceio.LoadExecution(bytes.NewReader(src.Execution))
@@ -1036,7 +1032,7 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 	var digest string
 	err = tr.timePhase("resolve", func() error {
 		var rerr error
-		x, digest, rerr = s.resolveExecution(&req.ExecutionSource)
+		x, digest, rerr = resolveExecution(&req.ExecutionSource)
 		return rerr
 	})
 	if err != nil {
@@ -1293,7 +1289,7 @@ func (s *Server) prepareRaces(req *RacesRequest, tr *tracer) (dispatchOpts, erro
 	var digest string
 	err = tr.timePhase("resolve", func() error {
 		var rerr error
-		x, digest, rerr = s.resolveExecution(&req.ExecutionSource)
+		x, digest, rerr = resolveExecution(&req.ExecutionSource)
 		return rerr
 	})
 	if err != nil {
@@ -1357,7 +1353,7 @@ func (s *Server) prepareWitness(req *WitnessRequest, tr *tracer) (dispatchOpts, 
 	var digest string
 	err = tr.timePhase("resolve", func() error {
 		var rerr error
-		x, digest, rerr = s.resolveExecution(&req.ExecutionSource)
+		x, digest, rerr = resolveExecution(&req.ExecutionSource)
 		return rerr
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -37,9 +38,15 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// rawBody is a request body postJSON sends as it is.
+type rawBody string
+
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	b, err := json.Marshal(body)
+	if raw, ok := body.(rawBody); ok {
+		b, err = []byte(raw), nil
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,15 +725,72 @@ func TestBadRequests(t *testing.T) {
 		{"corrupt trace", "/v1/analyze", map[string]any{"execution": map[string]any{"version": 99}}, http.StatusBadRequest},
 		{"unknown field", "/v1/analyze", map[string]any{"programme": "x"}, http.StatusBadRequest},
 		{"witness needs rel", "/v1/witness", map[string]any{"program": figure1Program(t), "rel": "", "a": "lp", "b": "rp"}, http.StatusBadRequest},
+		{"trailing object", "/v1/analyze", rawBody(`{"program":"proc main { }","all":true} {"program":"garbage"}`), http.StatusBadRequest},
+		{"trailing bytes", "/v1/analyze", rawBody(`{"program":"proc main { }","all":true}xyz`), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+c.path, c.body)
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status %d, want %d: %s", c.name, resp.StatusCode, c.want, body)
 		}
+		if _, trailing := c.body.(rawBody); trailing && !strings.Contains(string(body), "trailing data") {
+			t.Errorf("%s: error does not name trailing data: %s", c.name, body)
+		}
 	}
 	if resp := getJSON(t, ts.URL+"/v1/jobs/j999999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestBodyLimit pins MaxBodyBytes on the whole body: on every endpoint a
+// body one byte over the limit answers 413, whether its length is declared
+// or it arrives chunked, even when the object inside it would fit, and a
+// body exactly at the limit is accepted.
+func TestBodyLimit(t *testing.T) {
+	const limit = 1 << 10
+	_, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: limit})
+	for _, path := range []string{"/v1/analyze", "/v1/races", "/v1/witness"} {
+		obj := `{"program":"proc main { a: skip\n b: skip }","rel":"MHB","a":"a","b":"b"}`
+		if path == "/v1/races" {
+			obj = `{"program":"proc main { a: skip\n b: skip }"}`
+		}
+		atLimit := obj + strings.Repeat(" ", limit-len(obj))
+		if resp, body := postJSON(t, ts.URL+path, rawBody(atLimit)); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: body at the limit: status %d, want 200: %s", path, resp.StatusCode, body)
+		}
+		over := atLimit + " "
+		if resp, body := postJSON(t, ts.URL+path, rawBody(over)); resp.StatusCode != http.StatusRequestEntityTooLarge ||
+			!strings.Contains(string(body), "request body too large") {
+			t.Errorf("%s: body over the limit: status %d, want 413: %s", path, resp.StatusCode, body)
+		}
+		// No Content-Length: the limit strikes while reading.
+		resp, err := http.Post(ts.URL+path, "application/json", io.MultiReader(strings.NewReader(over)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: chunked body over the limit: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestDecodePhase pins the request body decode's span: a trace request's
+// envelope lists "decode" before "resolve", since the one-pass path decodes
+// the trace with the body.
+func TestDecodePhase(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", rawBody(traceBodies(t)["analyze/barrier-ring5"]))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	env := decodeEnvelope(t, body)
+	var names []string
+	for _, p := range env.Trace.Phases {
+		names = append(names, p.Name)
+	}
+	if len(names) < 2 || names[0] != "decode" || names[1] != "resolve" {
+		t.Errorf("phases %v, want decode then resolve first", names)
 	}
 }
 

@@ -41,8 +41,10 @@ func newRequestID() string {
 }
 
 // Phase is one named span of a request's lifecycle, in milliseconds.
-// Phases the engine reports: "resolve" (parsing/running the execution
-// source), "plan" (polynomial cascade), "forward" and "backward" (the
+// Phases the engine reports: "decode" (the request body's JSON, including a
+// trace the one-pass path decodes in place), "resolve" (parsing/running the
+// program, or decoding a trace the body decode left raw, and hashing the
+// execution), "plan" (polynomial cascade), "forward" and "backward" (the
 // batch engine's two sweeps), "decide" / "detect" / "witness" for the
 // non-matrix endpoints.
 type Phase struct {

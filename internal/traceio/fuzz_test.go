@@ -153,6 +153,17 @@ func FuzzLoadExecution(f *testing.F) {
 				t.Fatalf("one-pass decode differs from the reference:\n%s\none-pass:  %+v\nreference: %+v", data, fast, ref)
 			}
 		}
+		// The prefix decoder consumes one object, which is valid JSON and
+		// which decodeCanonical alone decodes into the same execution.
+		if pre, n, ok := DecodeCanonicalPrefix(string(data)); ok {
+			obj := data[:n]
+			if !json.Valid(obj) || obj[n-1] != '}' {
+				t.Fatalf("prefix decode consumed %q, not one JSON object", obj)
+			}
+			if whole, ok := decodeCanonical(string(obj)); !ok || !reflect.DeepEqual(pre, whole) {
+				t.Fatalf("prefix decode of %q differs from decodeCanonical (accepted: %v)", obj, ok)
+			}
+		}
 		x, err := LoadExecution(bytes.NewReader(data))
 		if err != nil {
 			if !strings.Contains(err.Error(), "traceio:") && !strings.Contains(err.Error(), "model:") {

@@ -8,24 +8,38 @@ import (
 
 // decodeCanonical decodes src in one pass, without reflection, when it lies
 // in the canonical subset of the trace format that SaveExecution writes,
-// indented or compacted:
+// indented or compacted, and nothing but JSON whitespace follows the
+// object. It reports false for anything else, and LoadExecution then runs
+// the reference decode, so accepted inputs, results and error text do not
+// depend on which path ran.
+func decodeCanonical(src string) (*model.Execution, bool) {
+	x, n, ok := DecodeCanonicalPrefix(src)
+	if !ok || strings.TrimLeft(src[n:], " \t\n\r") != "" {
+		return nil, false
+	}
+	return x, true
+}
+
+// DecodeCanonicalPrefix decodes the object at the start of src in one pass,
+// without reflection, when it lies in the canonical subset of the trace
+// format that SaveExecution writes, indented or compacted, and returns the
+// execution and the length of src up to and including the object's closing
+// brace. The subset is:
 //
 //   - only the keys SaveExecution writes, in exact case, each at most once
 //     per object, in any order;
 //   - strings with no backslash, control byte or non-ASCII byte;
 //   - integers with no fraction, exponent, leading zero or minus zero that
 //     fit an int;
-//   - true and false, JSON whitespace anywhere between tokens, and nothing
-//     but whitespace after the top-level object.
+//   - true and false, and JSON whitespace anywhere between tokens.
 //
-// It runs the reference decode's range checks and model.Validate, and
-// builds the execution the reference decode would build: missing keys take
+// The subset is JSON, so the object is a valid JSON value. The decoder runs
+// the reference decode's range checks and model.Validate, and builds the
+// execution LoadExecution would build from the object: missing keys take
 // zero values and an empty array yields a nil slice. It reports false for
-// anything else (null, escapes, unknown or repeated keys, floats, trailing
-// data, and every semantic error), and LoadExecution then runs the
-// reference decode, so accepted inputs, results and error text do not
-// depend on which path ran.
-func decodeCanonical(src string) (*model.Execution, bool) {
+// anything else (null, escapes, unknown or repeated keys, floats, and every
+// semantic error). What follows the object is not read.
+func DecodeCanonicalPrefix(src string) (*model.Execution, int, bool) {
 	d := onePass{src: src}
 	x := &model.Execution{
 		Sems:   map[string]model.Semaphore{},
@@ -69,20 +83,19 @@ func decodeCanonical(src string) (*model.Execution, bool) {
 			d.fail()
 		}
 	}
-	d.space()
-	if d.bad || d.pos != len(src) || version != FormatVersion {
-		return nil, false
+	if d.bad || version != FormatVersion {
+		return nil, 0, false
 	}
 	for i := range x.Events {
 		e := &x.Events[i]
 		if e.Proc < 0 || int(e.Proc) >= len(x.Procs) || !inRange(e.Ops, len(x.Ops)) {
-			return nil, false
+			return nil, 0, false
 		}
 	}
 	if !inRange(x.Order, len(x.Ops)) || model.Validate(x) != nil {
-		return nil, false
+		return nil, 0, false
 	}
-	return x, true
+	return x, d.pos, true
 }
 
 func inRange(ids []model.OpID, n int) bool {

@@ -5,19 +5,18 @@
 // Usage:
 //
 //	go run ./cmd/bench [-o BENCH_matrix.json] [-reps 3]
-//	                   [-baseline old.json] [-no-por] [-no-symm] [-procs N]
+//	                   [-baseline old.json] [-procs N]
 //	                   [-assert-symm-ge 1.0]
 //	                   [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	go run ./cmd/bench -soak [-soak-duration 30s] [-soak-o BENCH_soak.json]
 //	go run ./cmd/bench -durability [-durability-jobs 200]
 //	                   [-durability-o BENCH_durability.json]
 //
-// -soak switches to the service soak comparison: the soak/fault-injection
-// harness (internal/service.RunSoak) drives an undersized server twice —
-// cheap-request fast lane enabled, then disabled — and the report carries
-// per-lane queue-wait and end-to-end latency quantiles plus the shed rate
-// (the EXPERIMENTS E19 numbers). Any load-shedding contract violation
-// fails the run.
+// -soak switches to the service soak: the soak/fault-injection harness
+// (internal/service.RunSoak) drives an undersized server once, and the
+// report carries per-lane queue-wait and end-to-end latency quantiles plus
+// the shed rate (the EXPERIMENTS E19 numbers). Any load-shedding contract
+// violation fails the run.
 //
 // -durability switches to the durability comparison: async accept latency
 // (time to a 202, which with a state directory includes the fsynced
@@ -32,15 +31,13 @@
 // identical either way; edges are what reduction prunes), the symmetry
 // reduction's on/off state comparison (process-symmetry orbit collapsing
 // shrinks the state count itself, reported as symm_state_reduction), and
-// heap allocations per expanded state. -no-por disables the sleep-set
-// reduction in every run and -no-symm the orbit collapsing; each drops its
-// comparison columns. -procs pins GOMAXPROCS for the whole run; the report
-// records the effective value, NumCPU, and whether GOMAXPROCS exceeds
-// NumCPU (oversubscribed), so committed artifacts are honest about the
-// hardware they measured. -assert-symm-ge fails the
-// run if any case's symm_state_reduction falls below the given bound — a
-// CI hook keeping the collapse from silently regressing. -baseline points at a
-// previous report (same schema); its per-case matrix timings and
+// heap allocations per expanded state. -procs pins GOMAXPROCS for the
+// whole run; the report records the effective value, NumCPU, and whether
+// GOMAXPROCS exceeds NumCPU (oversubscribed), so committed artifacts are
+// honest about the hardware they measured. -assert-symm-ge fails the run
+// if any case's symm_state_reduction falls below the given bound — a CI
+// hook keeping the collapse from silently regressing. -baseline points at
+// a previous report (same schema); its per-case matrix timings and
 // node/edge counts are embedded alongside the fresh ones as before/after
 // columns with the resulting throughput gain. -cpuprofile and -memprofile
 // write pprof profiles of the run for flame-graph work.
@@ -96,8 +93,7 @@ type caseResult struct {
 	MatrixEdges int64 `json:"explored_edges"`
 	// MatrixEdgesNoPOR is MatrixEdges with reduction disabled, and
 	// MatrixNoPORMS the corresponding wall-clock; EdgeReduction is their
-	// ratio (off/on). Omitted under -no-por, where the main columns
-	// already measure the unreduced engine.
+	// ratio (off/on).
 	MatrixEdgesNoPOR int64   `json:"explored_edges_nopor,omitempty"`
 	MatrixNoPORMS    float64 `json:"matrix_nopor_ms,omitempty"`
 	EdgeReduction    float64 `json:"edge_reduction,omitempty"`
@@ -105,9 +101,7 @@ type caseResult struct {
 	// collapsing disabled — the full state count the orbit-canonical
 	// representatives stand for — and MatrixNoSymmMS the corresponding
 	// wall-clock; SymmStateReduction is their ratio (off/on), exactly 1
-	// when the trace has no provable process symmetry. Omitted under
-	// -no-symm, where the main columns already measure the uncollapsed
-	// engine.
+	// when the trace has no provable process symmetry.
 	MatrixNodesNoSymm  int64   `json:"matrix_nodes_nosymm,omitempty"`
 	MatrixNoSymmMS     float64 `json:"matrix_nosymm_ms,omitempty"`
 	SymmStateReduction float64 `json:"symm_state_reduction,omitempty"`
@@ -160,8 +154,6 @@ type report struct {
 	// Oversubscribed flags a GOMAXPROCS above NumCPU: the timings then
 	// include oversubscription.
 	Oversubscribed bool         `json:"oversubscribed"`
-	DisablePOR     bool         `json:"disable_por,omitempty"`
-	DisableSymm    bool         `json:"disable_symm,omitempty"`
 	Baseline       string       `json:"baseline,omitempty"`
 	Cases          []caseResult `json:"cases"`
 }
@@ -170,16 +162,14 @@ func main() {
 	out := flag.String("o", "BENCH_matrix.json", "output path")
 	reps := flag.Int("reps", 3, "repetitions per measurement (median reported)")
 	baselinePath := flag.String("baseline", "", "previous report to embed as before/after columns")
-	noPOR := flag.Bool("no-por", false, "disable sleep-set partial-order reduction in every strategy (drops the on/off comparison columns)")
-	noSymm := flag.Bool("no-symm", false, "disable process-symmetry orbit collapsing in every strategy (drops the on/off comparison columns)")
 	procs := flag.Int("procs", 0, "pin GOMAXPROCS for the whole run (0 = keep the runtime default; the report records the effective value)")
 	assertSymmGE := flag.Float64("assert-symm-ge", 0, "exit nonzero if any case's symm_state_reduction falls below this bound (0 = no assertion)")
 	testdata := flag.String("testdata", "testdata", "directory of .evo programs to bench as additional workloads (\"\" = generated cases only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	soak := flag.Bool("soak", false, "run the service soak comparison (fast lane on vs off) instead of the matrix bench")
-	soakDuration := flag.Duration("soak-duration", 30*time.Second, "traffic duration per soak side")
-	soakOut := flag.String("soak-o", "BENCH_soak.json", "soak comparison output path")
+	soak := flag.Bool("soak", false, "run the service soak instead of the matrix bench")
+	soakDuration := flag.Duration("soak-duration", 30*time.Second, "soak traffic duration")
+	soakOut := flag.String("soak-o", "BENCH_soak.json", "soak report output path")
 	durability := flag.Bool("durability", false, "run the durability comparison (journal on vs off accept latency + crash-soak recovery) instead of the matrix bench")
 	durabilityJobs := flag.Int("durability-jobs", 200, "async submissions per accept-latency side")
 	durabilityOut := flag.String("durability-o", "BENCH_durability.json", "durability comparison output path")
@@ -229,18 +219,16 @@ func main() {
 	}
 
 	rep := report{
-		Kind:        core.RelCCW.String(),
-		Reps:        *reps,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		DisablePOR:  *noPOR,
-		DisableSymm: *noSymm,
-		Baseline:    *baselinePath,
+		Kind:       core.RelCCW.String(),
+		Reps:       *reps,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Baseline:   *baselinePath,
 	}
 	rep.Oversubscribed = rep.GoMaxProcs > rep.NumCPU
 	for _, c := range cases {
 		fmt.Fprintf(os.Stderr, "== %s (%d procs, %d events)\n", c.name, len(c.x.Procs), len(c.x.Events))
-		res, err := runCase(c, *reps, baseline, *noPOR, *noSymm)
+		res, err := runCase(c, *reps, baseline)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", c.name, err))
 		}
@@ -371,7 +359,7 @@ func testdataWorkloads(dir string) ([]benchCase, error) {
 	return cases, nil
 }
 
-func runCase(c benchCase, reps int, baseline *report, noPOR, noSymm bool) (caseResult, error) {
+func runCase(c benchCase, reps int, baseline *report) (caseResult, error) {
 	n := len(c.x.Events)
 	res := caseResult{
 		Name:   c.name,
@@ -396,7 +384,7 @@ func runCase(c benchCase, reps int, baseline *report, noPOR, noSymm bool) (caseR
 		return ms, nodes, edges, err
 	}
 
-	mat, nodes, edges, err := matrixRun(core.Options{DisablePOR: noPOR, DisableSymm: noSymm})
+	mat, nodes, edges, err := matrixRun(core.Options{})
 	if err != nil {
 		return res, err
 	}
@@ -407,43 +395,39 @@ func runCase(c benchCase, reps int, baseline *report, noPOR, noSymm bool) (caseR
 	fmt.Fprintf(os.Stderr, "  matrix                %10.2f ms  (%.0f nodes/s, %d nodes, %d edges)\n",
 		mat, res.MatrixNodesPerSec, nodes, edges)
 
-	if !noPOR {
-		mat, _, edges, err := matrixRun(core.Options{DisablePOR: true, DisableSymm: noSymm})
-		if err != nil {
-			return res, err
-		}
-		res.MatrixNoPORMS, res.MatrixEdgesNoPOR = mat, edges
-		fmt.Fprintf(os.Stderr, "  matrix-nopor          %10.2f ms  (%d edges without reduction)\n", mat, edges)
-		if res.MatrixEdges > 0 {
-			res.EdgeReduction = round2(float64(res.MatrixEdgesNoPOR) / float64(res.MatrixEdges))
-			fmt.Fprintf(os.Stderr, "  edge reduction        %10.2fx (%d -> %d)\n",
-				res.EdgeReduction, res.MatrixEdgesNoPOR, res.MatrixEdges)
-		}
+	mat, _, edges, err = matrixRun(core.Options{DisablePOR: true})
+	if err != nil {
+		return res, err
+	}
+	res.MatrixNoPORMS, res.MatrixEdgesNoPOR = mat, edges
+	fmt.Fprintf(os.Stderr, "  matrix-nopor          %10.2f ms  (%d edges without reduction)\n", mat, edges)
+	if res.MatrixEdges > 0 {
+		res.EdgeReduction = round2(float64(res.MatrixEdgesNoPOR) / float64(res.MatrixEdges))
+		fmt.Fprintf(os.Stderr, "  edge reduction        %10.2fx (%d -> %d)\n",
+			res.EdgeReduction, res.MatrixEdgesNoPOR, res.MatrixEdges)
 	}
 
-	if !noSymm {
-		mat, nodes, _, err := matrixRun(core.Options{DisablePOR: noPOR, DisableSymm: true})
-		if err != nil {
-			return res, err
-		}
-		res.MatrixNoSymmMS, res.MatrixNodesNoSymm = mat, nodes
-		fmt.Fprintf(os.Stderr, "  matrix-nosymm         %10.2f ms  (%d states without orbit collapse)\n", mat, nodes)
-		if res.MatrixNodes > 0 {
-			res.SymmStateReduction = round2(float64(res.MatrixNodesNoSymm) / float64(res.MatrixNodes))
-			fmt.Fprintf(os.Stderr, "  symm state reduction  %10.2fx (%d -> %d)\n",
-				res.SymmStateReduction, res.MatrixNodesNoSymm, res.MatrixNodes)
-		}
+	mat, nodes, _, err = matrixRun(core.Options{DisableSymm: true})
+	if err != nil {
+		return res, err
+	}
+	res.MatrixNoSymmMS, res.MatrixNodesNoSymm = mat, nodes
+	fmt.Fprintf(os.Stderr, "  matrix-nosymm         %10.2f ms  (%d states without orbit collapse)\n", mat, nodes)
+	if res.MatrixNodes > 0 {
+		res.SymmStateReduction = round2(float64(res.MatrixNodesNoSymm) / float64(res.MatrixNodes))
+		fmt.Fprintf(os.Stderr, "  symm state reduction  %10.2fx (%d -> %d)\n",
+			res.SymmStateReduction, res.MatrixNodesNoSymm, res.MatrixNodes)
 	}
 
-	if err := measurePlan(c, &res, reps, noPOR, noSymm); err != nil {
+	if err := measurePlan(c, &res, reps); err != nil {
 		return res, err
 	}
 
-	if err := measureAnytime(c, &res, noPOR, noSymm); err != nil {
+	if err := measureAnytime(c, &res); err != nil {
 		return res, err
 	}
 
-	allocs, err := measureMatrixAllocs(c, noSymm)
+	allocs, err := measureMatrixAllocs(c)
 	if err != nil {
 		return res, err
 	}
@@ -462,7 +446,7 @@ func runCase(c benchCase, reps int, baseline *report, noPOR, noSymm bool) (caseR
 // fractions from one Build, then planner-on vs planner-off matrix
 // wall-clock through plan.Analyze (same engine options as the main
 // matrix columns).
-func measurePlan(c benchCase, res *caseResult, reps int, noPOR, noSymm bool) error {
+func measurePlan(c benchCase, res *caseResult, reps int) error {
 	kinds := []core.RelKind{core.RelCCW}
 	p, err := plan.Build(c.x, kinds, plan.Options{})
 	if err != nil {
@@ -474,10 +458,9 @@ func measurePlan(c benchCase, res *caseResult, reps int, noPOR, noSymm bool) err
 	}
 	res.PlanPolyFrac = round4(p.PolyFraction())
 	res.PlanResiduePairs = p.Residue
-	copts := core.Options{DisablePOR: noPOR, DisableSymm: noSymm}
 	for _, tiers := range []int{0, -1} {
 		ms, err := measure(reps, func() error {
-			_, err := plan.Analyze(context.Background(), c.x, kinds, copts,
+			_, err := plan.Analyze(context.Background(), c.x, kinds, core.Options{},
 				core.MatrixOpts{Tiers: tiers})
 			return err
 		})
@@ -504,14 +487,13 @@ func measurePlan(c benchCase, res *caseResult, reps int, noPOR, noSymm bool) err
 // expanded-state count, and the partial result's decided-pair fraction is
 // recorded (completed runs — possible on tiny state spaces where a
 // quarter budget still finishes the sweeps — record 1).
-func measureAnytime(c benchCase, res *caseResult, noPOR, noSymm bool) error {
+func measureAnytime(c benchCase, res *caseResult) error {
 	run := func(budget int64) (float64, error) {
 		if budget < 1 {
 			budget = 1
 		}
 		out, err := plan.Analyze(context.Background(), c.x, []core.RelKind{core.RelCCW},
-			core.Options{DisablePOR: noPOR, DisableSymm: noSymm},
-			core.MatrixOpts{Budget: budget})
+			core.Options{}, core.MatrixOpts{Budget: budget})
 		if err != nil {
 			return 0, err
 		}
@@ -540,8 +522,8 @@ func measureAnytime(c benchCase, res *caseResult, noPOR, noSymm bool) error {
 // measureMatrixAllocs runs one Matrix and returns the heap allocation
 // count it incurred (Mallocs delta; Matrix runs on the calling goroutine,
 // so the delta is attributable to the run).
-func measureMatrixAllocs(c benchCase, noSymm bool) (float64, error) {
-	a, err := core.New(c.x, core.Options{DisableSymm: noSymm})
+func measureMatrixAllocs(c benchCase) (float64, error) {
+	a, err := core.New(c.x, core.Options{})
 	if err != nil {
 		return 0, err
 	}

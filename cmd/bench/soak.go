@@ -11,29 +11,25 @@ import (
 	"eventorder/internal/service"
 )
 
-// Soak comparison (-soak): instead of the matrix engine bench, run the
-// service soak harness twice against an undersized server — once with the
-// cheap-request fast lane enabled and once with both lanes collapsed into
-// the heavy pool — and report the tail-latency and shed-rate numbers the
-// EXPERIMENTS log tracks (E19). The claim under test: planner-decidable
-// requests isolated on their own lane keep polynomial work from queueing
-// behind the NP-hard backlog. Under sustained saturation (the -race soak
-// test, where the detector slows the heavy worker ~10-20x) that shows up
-// as fast-lane p99 queue wait below heavy p50; at native speed the heavy
-// queue is bursty — it drains between arrival spikes, pinning heavy p50
-// near zero — so the comparison here is tail-to-tail: fast p99 well below
-// heavy p99, with the shed rate showing overload was real.
+// Soak (-soak): instead of the matrix engine bench, run the service soak
+// harness once against an undersized server and report the tail-latency
+// and shed-rate numbers the EXPERIMENTS log tracks (E19). Planner-decided
+// requests run on their own goroutine, so their queue wait (the fast-lane
+// histogram) stays near zero however deep the queue of NP-hard work gets;
+// the heavy-lane quantiles and the shed rate show that overload was real.
 
-// soakSide is one soak run's headline numbers.
-type soakSide struct {
-	Requests   int64            `json:"requests"`
-	Statuses   map[int]int64    `json:"statuses"`
-	Complete   int64            `json:"complete"`
-	Partial    int64            `json:"partial"`
-	Shed       int64            `json:"shed"`
-	ShedRate   float64          `json:"shed_rate"`
-	Lanes      map[string]int64 `json:"lanes"`
-	Violations []string         `json:"violations,omitempty"`
+// soakReportJSON is the written artifact (BENCH_soak.json).
+type soakReportJSON struct {
+	DurationSec float64          `json:"duration_sec"`
+	Programs    []string         `json:"programs"`
+	Requests    int64            `json:"requests"`
+	Statuses    map[int]int64    `json:"statuses"`
+	Complete    int64            `json:"complete"`
+	Partial     int64            `json:"partial"`
+	Shed        int64            `json:"shed"`
+	ShedRate    float64          `json:"shed_rate"`
+	Lanes       map[string]int64 `json:"lanes"`
+	Violations  []string         `json:"violations,omitempty"`
 
 	FastQueueWaitP99Ms  float64 `json:"fast_queue_wait_p99_ms"`
 	HeavyQueueWaitP50Ms float64 `json:"heavy_queue_wait_p50_ms"`
@@ -43,37 +39,7 @@ type soakSide struct {
 	AnalyzeP999Ms       float64 `json:"analyze_p999_ms"`
 }
 
-// soakReportJSON is the written artifact (BENCH_soak.json).
-type soakReportJSON struct {
-	DurationSec float64  `json:"duration_sec"`
-	Programs    []string `json:"programs"`
-	FastLane    soakSide `json:"fast_lane"`
-	NoFastLane  soakSide `json:"no_fast_lane"`
-}
-
-func sideOf(rep *service.SoakReport) soakSide {
-	s := soakSide{
-		Requests:            rep.Requests,
-		Statuses:            rep.Statuses,
-		Complete:            rep.Complete,
-		Partial:             rep.Partial,
-		Shed:                rep.Shed,
-		Lanes:               rep.Lanes,
-		Violations:          rep.Unexpected,
-		FastQueueWaitP99Ms:  rep.FastQueueWaitP99Ms,
-		HeavyQueueWaitP50Ms: rep.HeavyQueueWaitP50Ms,
-		HeavyQueueWaitP99Ms: rep.HeavyQueueWaitP99Ms,
-		AnalyzeP50Ms:        rep.AnalyzeP50Ms,
-		AnalyzeP99Ms:        rep.AnalyzeP99Ms,
-		AnalyzeP999Ms:       rep.AnalyzeP999Ms,
-	}
-	if rep.Requests > 0 {
-		s.ShedRate = float64(rep.Shed) / float64(rep.Requests)
-	}
-	return s
-}
-
-// runSoakBench runs the two-sided soak comparison and writes out as JSON.
+// runSoakBench runs the soak and writes its report to out as JSON.
 func runSoakBench(testdataDir string, dur time.Duration, out string) error {
 	// The soak tests run this mix under -race, where the detector's
 	// slowdown saturates a single heavy worker by itself; at native speed
@@ -90,43 +56,45 @@ func runSoakBench(testdataDir string, dur time.Duration, out string) error {
 		programs = append(programs, service.SoakProgram{Name: name, Source: string(src)})
 	}
 
-	run := func(disableFastLane bool) (*service.SoakReport, error) {
-		return service.RunSoak(context.Background(), service.SoakOptions{
-			Duration:      dur,
-			Clients:       24,
-			StormClients:  4,
-			SlowClients:   2,
-			RequestBudget: 4 << 20,
-			Programs:      programs,
-			Server: service.Config{
-				// Undersized on purpose, mirroring the soak test: one
-				// heavy worker and a shallow queue so queueing, shedding,
-				// and lane isolation all engage.
-				Workers:         1,
-				FastWorkers:     4,
-				QueueDepth:      8,
-				CacheBytes:      1 << 16,
-				DisableFastLane: disableFastLane,
-			},
-		})
-	}
-
-	fmt.Fprintf(os.Stderr, "soak: fast lane ON, %s...\n", dur)
-	withLane, err := run(false)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "soak: fast lane OFF, %s...\n", dur)
-	withoutLane, err := run(true)
+	fmt.Fprintf(os.Stderr, "soak: %s...\n", dur)
+	rep, err := service.RunSoak(context.Background(), service.SoakOptions{
+		Duration:      dur,
+		Clients:       24,
+		StormClients:  4,
+		SlowClients:   2,
+		RequestBudget: 4 << 20,
+		Programs:      programs,
+		Server: service.Config{
+			// Undersized on purpose, mirroring the soak test: one worker
+			// and a shallow queue so queueing and shedding engage.
+			Workers:    1,
+			QueueDepth: 8,
+			CacheBytes: 1 << 16,
+		},
+	})
 	if err != nil {
 		return err
 	}
 
 	report := soakReportJSON{
-		DurationSec: dur.Seconds(),
-		Programs:    names,
-		FastLane:    sideOf(withLane),
-		NoFastLane:  sideOf(withoutLane),
+		DurationSec:         dur.Seconds(),
+		Programs:            names,
+		Requests:            rep.Requests,
+		Statuses:            rep.Statuses,
+		Complete:            rep.Complete,
+		Partial:             rep.Partial,
+		Shed:                rep.Shed,
+		Lanes:               rep.Lanes,
+		Violations:          rep.Unexpected,
+		FastQueueWaitP99Ms:  rep.FastQueueWaitP99Ms,
+		HeavyQueueWaitP50Ms: rep.HeavyQueueWaitP50Ms,
+		HeavyQueueWaitP99Ms: rep.HeavyQueueWaitP99Ms,
+		AnalyzeP50Ms:        rep.AnalyzeP50Ms,
+		AnalyzeP99Ms:        rep.AnalyzeP99Ms,
+		AnalyzeP999Ms:       rep.AnalyzeP999Ms,
+	}
+	if rep.Requests > 0 {
+		report.ShedRate = float64(rep.Shed) / float64(rep.Requests)
 	}
 	raw, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -136,25 +104,20 @@ func runSoakBench(testdataDir string, dur time.Duration, out string) error {
 		return err
 	}
 
-	fmt.Printf("%-22s %14s %14s\n", "", "fast lane on", "fast lane off")
-	row := func(label string, a, b float64) {
-		fmt.Printf("%-22s %14.3f %14.3f\n", label, a, b)
-	}
-	row("fast p99 wait (ms)", report.FastLane.FastQueueWaitP99Ms, report.NoFastLane.FastQueueWaitP99Ms)
-	row("heavy p50 wait (ms)", report.FastLane.HeavyQueueWaitP50Ms, report.NoFastLane.HeavyQueueWaitP50Ms)
-	row("heavy p99 wait (ms)", report.FastLane.HeavyQueueWaitP99Ms, report.NoFastLane.HeavyQueueWaitP99Ms)
-	row("analyze p50 (ms)", report.FastLane.AnalyzeP50Ms, report.NoFastLane.AnalyzeP50Ms)
-	row("analyze p99 (ms)", report.FastLane.AnalyzeP99Ms, report.NoFastLane.AnalyzeP99Ms)
-	row("analyze p999 (ms)", report.FastLane.AnalyzeP999Ms, report.NoFastLane.AnalyzeP999Ms)
-	row("shed rate", report.FastLane.ShedRate, report.NoFastLane.ShedRate)
-	fmt.Printf("%-22s %14d %14d\n", "requests", report.FastLane.Requests, report.NoFastLane.Requests)
-	for side, v := range map[string][]string{"on": report.FastLane.Violations, "off": report.NoFastLane.Violations} {
-		for _, msg := range v {
-			fmt.Fprintf(os.Stderr, "soak (%s): contract violation: %s\n", side, msg)
-		}
+	row := func(label string, v float64) { fmt.Printf("%-22s %14.3f\n", label, v) }
+	row("fast p99 wait (ms)", report.FastQueueWaitP99Ms)
+	row("heavy p50 wait (ms)", report.HeavyQueueWaitP50Ms)
+	row("heavy p99 wait (ms)", report.HeavyQueueWaitP99Ms)
+	row("analyze p50 (ms)", report.AnalyzeP50Ms)
+	row("analyze p99 (ms)", report.AnalyzeP99Ms)
+	row("analyze p999 (ms)", report.AnalyzeP999Ms)
+	row("shed rate", report.ShedRate)
+	fmt.Printf("%-22s %14d\n", "requests", report.Requests)
+	for _, msg := range report.Violations {
+		fmt.Fprintf(os.Stderr, "soak: contract violation: %s\n", msg)
 	}
 	fmt.Printf("wrote %s\n", out)
-	if len(report.FastLane.Violations)+len(report.NoFastLane.Violations) > 0 {
+	if len(report.Violations) > 0 {
 		return fmt.Errorf("soak saw load-shedding contract violations")
 	}
 	return nil

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	eventorder run [-seed N] [-tries N] [-o trace.json] prog.evo
-//	eventorder analyze [-rel MHB] [-a label -b label | -all] [-ignore-data] [-budget N] [-no-plan] [-checkpoint f] [-resume f] trace.json
+//	eventorder analyze [-rel MHB] [-a label -b label | -all] [-ignore-data] [-budget N] [-checkpoint f] [-resume f] trace.json
 //	eventorder races [-budget N] trace.json
 //	eventorder taskgraph [-dot] trace.json
 //	eventorder hmw trace.json
@@ -175,9 +175,6 @@ func cmdAnalyze(args []string) error {
 	witness := fs.Bool("witness", false, "with -a/-b: print the demonstrating schedule (could-witness or must-counterexample)")
 	ignoreData := fs.Bool("ignore-data", false, "drop shared-data-dependence constraints (Section 5.3 feasibility)")
 	budget := fs.Int64("budget", 0, "search node budget per query (0 = unlimited)")
-	noPOR := fs.Bool("no-por", false, "disable sleep-set partial-order reduction (verdicts are identical; escape hatch for comparison and debugging)")
-	noSymm := fs.Bool("no-symm", false, "disable process-symmetry orbit collapsing (verdicts are identical; escape hatch for comparison and debugging)")
-	noPlan := fs.Bool("no-plan", false, "with -all: skip the polynomial planner tiers and let the exact engine settle every pair (verdicts are identical)")
 	ckptFile := fs.String("checkpoint", "", "with -all: when the analysis is interrupted (budget exhaustion or Ctrl-C), write a resumable checkpoint to this file")
 	resumeFile := fs.String("resume", "", "with -all: resume an interrupted analysis from a checkpoint file (budget counts cumulatively across attempts)")
 	fs.Parse(args)
@@ -192,7 +189,7 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	copts := core.Options{IgnoreData: *ignoreData, MaxNodes: *budget, DisablePOR: *noPOR, DisableSymm: *noSymm}
+	copts := core.Options{IgnoreData: *ignoreData, MaxNodes: *budget}
 	if *all {
 		// Full matrices go through the tiered planner: polynomial
 		// pre-solvers decide what they can, then one shared exact
@@ -200,9 +197,6 @@ func cmdAnalyze(args []string) error {
 		// matrix is a fixed grid and the provenance rows follow the
 		// relation's sorted pair order.
 		mopts := core.MatrixOpts{Budget: *budget}
-		if *noPlan {
-			mopts.Tiers = -1
-		}
 		if *resumeFile != "" {
 			b, err := os.ReadFile(*resumeFile)
 			if err != nil {
@@ -249,7 +243,7 @@ func cmdAnalyze(args []string) error {
 			}
 			return nil
 		}
-		if !*noPlan && res.Plan != nil {
+		if res.Plan != nil {
 			// Provenance: which tier of the cascade decided each related
 			// pair (static / observed / dag, or exact for pairs only the
 			// full search could settle).

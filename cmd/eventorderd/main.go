@@ -7,7 +7,6 @@
 //
 //	eventorderd [-addr :8080] [-workers N] [-queue N] [-cache-bytes N]
 //	            [-timeout 30s] [-max-timeout 5m] [-budget N]
-//	            [-fast-workers N] [-fast-queue N] [-no-fast-lane]
 //	            [-shed-depth N] [-shed-timeout 200ms] [-partial-grace 2s]
 //	            [-state-dir /var/lib/eventorderd] [-drain-checkpoint 1s]
 //	            [-pprof-addr 127.0.0.1:6060]
@@ -26,13 +25,14 @@
 // on a SEPARATE listener, off by default: profiling endpoints expose
 // internals and eat CPU, so they never share the public service address.
 //
-// Admission control: matrix requests the tiered planner fully decides
-// ride a separate fast-lane worker pool (-fast-workers/-fast-queue) so
-// they never queue behind NP-hard work; -no-fast-lane collapses both
-// lanes back into one pool. When the heavy queue reaches -shed-depth,
-// anytime requests get their deadline clamped to -shed-timeout and answer
-// quickly with a partial result and a resumable checkpoint instead of
-// deepening the backlog. A full queue answers 429 with Retry-After.
+// Admission control: a matrix request the tiered planner fully decides is
+// answered on its own goroutine, since it needs no search, so it never
+// queues behind NP-hard work and never answers 429. Everything else goes
+// to the -workers pool through a -queue deep queue. When the queue
+// reaches -shed-depth, anytime requests get their deadline clamped to
+// -shed-timeout and answer quickly with a partial result and a resumable
+// checkpoint instead of deepening the backlog. A full queue answers 429
+// with Retry-After.
 //
 // Durability: -state-dir makes acknowledged async work survive crashes.
 // Every async 202 is preceded by a fsynced write-ahead journal record, job
@@ -85,19 +85,13 @@ func pprofMux() *http.ServeMux {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "analysis workers (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "job queue depth (submissions beyond it get 503)")
+	queue := flag.Int("queue", 64, "job queue depth (submissions beyond it get 429)")
 	cacheBytes := flag.Int64("cache-bytes", 32<<20, "result cache budget in bytes")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested deadlines")
 	budget := flag.Int64("budget", 0, "default search node budget per query (0 = unlimited)")
 	maxBudget := flag.Int64("max-budget", 0, "cap on client-requested node budgets (0 = uncapped)")
-	noPOR := flag.Bool("no-por", false, "disable sleep-set partial-order reduction in all analyses (identical verdicts; comparison/debugging escape hatch)")
-	noSymm := flag.Bool("no-symm", false, "disable process-symmetry orbit collapsing in all analyses (identical verdicts; comparison/debugging escape hatch)")
-	noPlan := flag.Bool("no-plan", false, "disable the tiered relation planner on matrix requests (identical verdicts; exact engine settles every pair)")
-	fastWorkers := flag.Int("fast-workers", 0, "fast-lane workers for planner-decidable requests (0 = default)")
-	fastQueue := flag.Int("fast-queue", 0, "fast-lane queue depth (0 = same as -queue)")
-	noFastLane := flag.Bool("no-fast-lane", false, "disable the cheap-request fast lane; all jobs share the heavy pool")
-	shedDepth := flag.Int("shed-depth", 0, "heavy-queue occupancy that triggers load shedding (0 = 3/4 of -queue)")
+	shedDepth := flag.Int("shed-depth", 0, "queue occupancy that triggers load shedding (0 = 3/4 of -queue)")
 	shedTimeout := flag.Duration("shed-timeout", 0, "deadline clamp applied to anytime requests while shedding (0 = 200ms)")
 	partialGrace := flag.Duration("partial-grace", 0, "grace past a request's deadline to surface an anytime partial instead of 504 (0 = 2s)")
 	stateDir := flag.String("state-dir", "", "directory for the write-ahead job journal and blob store (empty = no durability; in-memory only)")
@@ -115,12 +109,6 @@ func main() {
 		MaxTimeout:      *maxTimeout,
 		MaxNodes:        *budget,
 		MaxBudget:       *maxBudget,
-		DisablePOR:      *noPOR,
-		DisableSymm:     *noSymm,
-		DisablePlan:     *noPlan,
-		FastWorkers:     *fastWorkers,
-		FastQueueDepth:  *fastQueue,
-		DisableFastLane: *noFastLane,
 		ShedDepth:       *shedDepth,
 		ShedTimeout:     *shedTimeout,
 		PartialGrace:    *partialGrace,

@@ -41,7 +41,7 @@ func (b *syncBuffer) String() string {
 
 // handshakeSrc is a two-process semaphore handshake: fully ordered by
 // synchronization, so the tiered planner decides every pair and the
-// request classifies onto the fast lane.
+// request is answered without entering the queue.
 const handshakeSrc = `
 sem s = 0
 
@@ -88,7 +88,7 @@ proc t3 {
 // runSelfcheck boots a loopback server and exercises the acceptance path:
 // Figure 1 MHB verdict, cache hit on the identical repeat, a 1ms deadline
 // on a large instance degrading to an anytime partial with the queue
-// draining back to zero, the request-tracing and fast-lane admission
+// draining back to zero, the request-tracing and planner-decided admission
 // contracts, a short soak burst, a durable restart (an async job survives
 // a shutdown/boot cycle on a state directory), and graceful shutdown.
 func runSelfcheck(cfg service.Config) error {
@@ -221,23 +221,34 @@ func runSelfcheck(cfg service.Config) error {
 		return fmt.Errorf("trace block missing or mismatched: %+v", env.Trace)
 	}
 	// The handshake is fully planner-decidable, so admission must have
-	// routed it onto the fast lane.
+	// answered it on the request's goroutine.
 	if env.Trace.Lane != service.LaneFast {
 		return fmt.Errorf("planner-decidable request rode lane %q, want %q", env.Trace.Lane, service.LaneFast)
 	}
-	ridLines := 0
-	scanner := bufio.NewScanner(strings.NewReader(logbuf.String()))
-	for scanner.Scan() {
-		var line struct {
-			RID string `json:"rid"`
-		}
-		if json.Unmarshal(scanner.Bytes(), &line) == nil && line.RID == env.RequestID {
-			ridLines++
+	// A synchronous request logs one line, carrying both its status and
+	// its job's phases. The line is written once the handler returns,
+	// which can be after the client has read the body, so wait for it.
+	var ridLines []map[string]any
+	for deadline := time.Now().Add(5 * time.Second); len(ridLines) == 0 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		scanner := bufio.NewScanner(strings.NewReader(logbuf.String()))
+		for scanner.Scan() {
+			var line map[string]any
+			if json.Unmarshal(scanner.Bytes(), &line) == nil && line["rid"] == env.RequestID {
+				ridLines = append(ridLines, line)
+			}
 		}
 	}
-	// At least the job-completion line and the request line carry the id.
-	if ridLines < 2 {
-		return fmt.Errorf("request id %s appears in %d log lines, want >= 2", env.RequestID, ridLines)
+	if len(ridLines) != 1 {
+		return fmt.Errorf("request id %s appears in %d log lines, want exactly 1", env.RequestID, len(ridLines))
+	}
+	phases := 0
+	for k := range ridLines[0] {
+		if strings.HasPrefix(k, "phase_") {
+			phases++
+		}
+	}
+	if _, ok := ridLines[0]["status"]; !ok || phases == 0 {
+		return fmt.Errorf("request log line lacks a status or a phase field: %v", ridLines[0])
 	}
 
 	// A 1ms deadline on a large instance must return an anytime partial —
@@ -345,7 +356,7 @@ func runSelfcheck(cfg service.Config) error {
 			{Name: "handshake", Source: handshakeSrc},
 			{Name: "figure1", Source: figure1Src},
 		},
-		Server: service.Config{Workers: 1, FastWorkers: 2, QueueDepth: 8},
+		Server: service.Config{Workers: 1, QueueDepth: 8},
 	})
 	if err != nil {
 		return fmt.Errorf("soak: %w", err)

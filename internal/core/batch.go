@@ -296,7 +296,7 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 		// POR-style silent inheritance is impossible in that direction, so
 		// the mismatch is an error rather than a downgrade.
 		if ckpt.Symm && !sym {
-			return nil, badCheckpoint("checkpoint was cut from a symmetry-reduced run; resume without -no-symm/DisableSymm")
+			return nil, badCheckpoint("checkpoint was cut from a symmetry-reduced run; resume with Options.DisableSymm and MatrixOpts.DisableSymm unset")
 		}
 		sym = ckpt.Symm
 	}

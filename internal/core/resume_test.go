@@ -177,7 +177,8 @@ func TestResumeIdentitySymmDisagree(t *testing.T) {
 
 // TestResumeRejectsSymmMismatch: a checkpoint cut from a symmetry-reduced
 // run stores orbit-canonical keys; resuming it with symmetry disabled
-// (the -no-symm escape hatch) must fail loudly, not misread the frontier.
+// (Options.DisableSymm or MatrixOpts.DisableSymm) must fail loudly, not
+// misread the frontier.
 func TestResumeRejectsSymmMismatch(t *testing.T) {
 	x := loadTrace(t, "barrier6.evo")
 	first, err := mustAnalyzer(t, x, Options{}).Matrix(context.Background(), nil, MatrixOpts{Budget: 1})

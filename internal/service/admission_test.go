@@ -49,16 +49,14 @@ func envelopeOf(t *testing.T, resp *http.Response, body []byte) Envelope {
 
 // TestAdmissionLaneClassification drives the lane classifier across its
 // boundaries: planner-decidable matrix queries ride the fast lane,
-// everything with exponential residue (or no plan at all) goes heavy,
-// cache hits short-circuit both, and the escape hatch disables the fast
-// lane entirely.
+// everything with exponential residue (or no plan at all) goes heavy, and
+// cache hits short-circuit both.
 func TestAdmissionLaneClassification(t *testing.T) {
 	handshake := readTestdataProgram(t, "handshake.evo")
 	figure1 := readTestdataProgram(t, "figure1.evo")
 
 	cases := []struct {
 		name string
-		cfg  Config
 		body map[string]any
 		want string
 	}{
@@ -78,18 +76,6 @@ func TestAdmissionLaneClassification(t *testing.T) {
 			want: LaneHeavy,
 		},
 		{
-			name: "planner disabled server-wide goes heavy",
-			cfg:  Config{Workers: 2, DisablePlan: true},
-			body: map[string]any{"program": handshake, "all": true},
-			want: LaneHeavy,
-		},
-		{
-			name: "fast lane disabled goes heavy",
-			cfg:  Config{Workers: 2, DisableFastLane: true},
-			body: map[string]any{"program": handshake, "all": true},
-			want: LaneHeavy,
-		},
-		{
 			name: "pair query goes heavy",
 			body: map[string]any{"program": handshake, "rel": "MHB", "a": "a", "b": "b"},
 			want: LaneHeavy,
@@ -97,11 +83,7 @@ func TestAdmissionLaneClassification(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := c.cfg
-			if cfg.Workers == 0 {
-				cfg.Workers = 2
-			}
-			_, ts := newTestServer(t, cfg)
+			_, ts := newTestServer(t, Config{Workers: 2})
 			resp, body := postJSON(t, ts.URL+"/v1/analyze", c.body)
 			env := envelopeOf(t, resp, body)
 			if env.Trace.Lane != c.want {
@@ -142,12 +124,12 @@ func TestAdmissionResumeGoesHeavy(t *testing.T) {
 	}
 }
 
-// blockWorkers parks `workers` of lane's workers on inert jobs and then
-// fills `queued` of its queue slots, blocking everything until the
+// blockWorkers parks `workers` of the pool's workers on inert jobs and
+// then fills `queued` of its queue slots, blocking everything until the
 // returned release func is called. Parking is sequenced — each worker is
 // confirmed busy before the queue is filled — so admission tests get a
 // deterministic pool state instead of racing against dequeue timing.
-func blockWorkers(t *testing.T, s *Server, lane string, workers, queued int) (release func()) {
+func blockWorkers(t *testing.T, s *Server, workers, queued int) (release func()) {
 	t.Helper()
 	ch := make(chan struct{})
 	var started atomic.Int32
@@ -167,15 +149,11 @@ func blockWorkers(t *testing.T, s *Server, lane string, workers, queued int) (re
 	// blockers already parked on a worker must still be released or the
 	// server's shutdown cleanup would wait on them forever.
 	t.Cleanup(release)
-	queue := s.jobs
-	if lane == LaneFast {
-		queue = s.fastJobs
-	}
 	mkBlocker := func() *job {
 		return &job{
 			ctx:    context.Background(),
 			cancel: func() {},
-			lane:   lane,
+			lane:   LaneHeavy,
 			run: func(ctx context.Context) (jobOutput, error) {
 				started.Add(1)
 				<-ch
@@ -209,61 +187,83 @@ func blockWorkers(t *testing.T, s *Server, lane string, workers, queued int) (re
 		}
 		done = append(done, j.done)
 		want := i + 1
-		waitFor(func() bool { return len(queue) >= want }, "queue slot never filled")
+		waitFor(func() bool { return len(s.jobs) >= want }, "queue slot never filled")
 	}
 	return release
 }
 
-// TestAdmissionQueueFull429 fills each lane's queue deterministically
-// with parked jobs and checks the overflow answer: 429, a Retry-After
-// hint, and the throttle counters moving — for the heavy lane and the
-// fast lane alike.
+// TestAdmissionQueueFull429 fills the queue deterministically with parked
+// jobs and checks the overflow answer: 429, a Retry-After hint, and the
+// throttle counters moving.
 func TestAdmissionQueueFull429(t *testing.T) {
+	figure1 := readTestdataProgram(t, "figure1.evo")
+	t.Run("heavy queue overflow", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{
+			Workers: 1, QueueDepth: 1,
+			// Keep shedding out of this test's way: it would clamp the
+			// probe's deadline, not change its admission.
+			ShedDepth: 100,
+		})
+		// One blocker parks the worker, the second fills the one queue
+		// slot.
+		blockWorkers(t, srv, 1, 1)
+		resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{"program": figure1, "all": true})
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Error("429 without a Retry-After header")
+		}
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil || er.RequestID == "" {
+			t.Errorf("429 body without a request id: %s", body)
+		}
+		if n := srv.Metrics().Counter(MetricJobsThrottled).Value(); n != 1 {
+			t.Errorf("jobs_throttled = %d, want 1", n)
+		}
+	})
+}
+
+// TestAdmissionDecidedSkipsFullQueue checks that planner-decided work
+// never enters the queue: with the one worker parked and the one queue
+// slot taken, a fully decided matrix request still answers at once,
+// synchronously and async, while a request with residue is refused.
+func TestAdmissionDecidedSkipsFullQueue(t *testing.T) {
 	handshake := readTestdataProgram(t, "handshake.evo")
 	figure1 := readTestdataProgram(t, "figure1.evo")
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, ShedDepth: 100})
+	blockWorkers(t, srv, 1, 1)
 
-	cases := []struct {
-		name string
-		lane string
-		body map[string]any
-	}{
-		{
-			name: "heavy queue overflow",
-			lane: LaneHeavy,
-			body: map[string]any{"program": figure1, "all": true},
-		},
-		{
-			name: "fast queue overflow",
-			lane: LaneFast,
-			body: map[string]any{"program": handshake, "all": true},
-		},
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{"program": handshake, "all": true})
+	env := envelopeOf(t, resp, body)
+	if env.Trace.Lane != LaneFast || env.Trace.QueueWaitMs >= 1 {
+		t.Errorf("decided request: lane %q, queue wait %.3fms; want fast and below 1ms", env.Trace.Lane, env.Trace.QueueWaitMs)
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			srv, ts := newTestServer(t, Config{
-				Workers: 1, QueueDepth: 1, FastWorkers: 1, FastQueueDepth: 1,
-				// Keep shedding out of this test's way: it would clamp the
-				// probe's deadline, not change its admission.
-				ShedDepth: 100,
-			})
-			// One blocker parks the lane's worker, the second fills its
-			// one queue slot.
-			blockWorkers(t, srv, c.lane, 1, 1)
-			resp, body := postJSON(t, ts.URL+"/v1/analyze", c.body)
-			if resp.StatusCode != http.StatusTooManyRequests {
-				t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
-			}
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("429 without a Retry-After header")
-			}
-			var er errorResponse
-			if err := json.Unmarshal(body, &er); err != nil || er.RequestID == "" {
-				t.Errorf("429 body without a request id: %s", body)
-			}
-			if n := srv.Metrics().Counter(MetricJobsThrottled).Value(); n != 1 {
-				t.Errorf("jobs_throttled = %d, want 1", n)
-			}
-		})
+	if n := srv.Metrics().Counter(MetricJobsFastLane).Value(); n != 1 {
+		t.Errorf("jobs_fast_lane = %d, want 1", n)
+	}
+
+	// ignoreData gives the async request its own cache key, so it runs.
+	resp, body = postJSON(t, ts.URL+"/v1/analyze", map[string]any{"program": handshake, "all": true, "async": true, "ignoreData": true})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async decided request: status %d, want 202: %s", resp.StatusCode, body)
+	}
+	var jr JobResponse
+	if err := json.Unmarshal(body, &jr); err != nil {
+		t.Fatal(err)
+	}
+	if jr.Status != JobDone {
+		t.Errorf("async decided request answered status %q, want %q", jr.Status, JobDone)
+	}
+	getJSON(t, ts.URL+"/v1/jobs/"+jr.ID, &jr)
+	var m MatrixResult
+	if err := json.Unmarshal(jr.Result, &m); err != nil || jr.Status != JobDone || !m.Complete {
+		t.Errorf("polled job: status %q, complete %t, err %v", jr.Status, m.Complete, err)
+	}
+
+	resp, body = postJSON(t, ts.URL+"/v1/analyze", map[string]any{"program": figure1, "all": true})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("request with residue: status %d, want 429: %s", resp.StatusCode, body)
 	}
 }
 
@@ -282,7 +282,7 @@ func TestShedPartialSoundAgainstFullMatrix(t *testing.T) {
 	})
 	// Park the heavy worker and leave one job sitting in the queue: the
 	// occupancy is at ShedDepth, so the next anytime request is shed.
-	release := blockWorkers(t, srv, LaneHeavy, 1, 1)
+	release := blockWorkers(t, srv, 1, 1)
 
 	type result struct {
 		resp *http.Response

@@ -23,7 +23,7 @@ import (
 //
 // Ordering invariants:
 //
-//   - the "accepted" record is durable BEFORE the job is enqueued or the
+//   - the "accepted" record is durable BEFORE the job is submitted or the
 //     202 is written — an acknowledged job is always recoverable;
 //   - a blob is durable BEFORE the journal record that references it — a
 //     crash between the two orphans a blob (harmless, garbage-collected
@@ -386,9 +386,11 @@ func (s *Server) journalAccepted(id, ep string, reqJSON json.RawMessage) error {
 	return s.journalRecord(jobRecord{T: "accepted", ID: id, Ep: ep, Req: reqJSON})
 }
 
-// asyncOnDone is the durable async job epilogue: classify the outcome,
-// persist what recovery will need, journal the transition, and update the
-// polled job state.
+// asyncOnDone is the durable async job epilogue: log the job's trace,
+// classify the outcome, persist what recovery will need, journal the
+// transition, and update the polled job state. The job gets its own log
+// line because its request's line may already be written: at the 202 for
+// a queued job, never for a recovered one.
 //
 // Outcome classification:
 //
@@ -401,7 +403,8 @@ func (s *Server) journalAccepted(id, ep string, reqJSON json.RawMessage) error {
 //   - partial result the client asked for (its own budget or deadline
 //     struck) → "done" (terminal) with complete=false: the client got
 //     exactly what it requested and holds the checkpoint to continue.
-func (s *Server) asyncOnDone(sj *storedJob, key string, out jobOutput, err error) {
+func (s *Server) asyncOnDone(sj *storedJob, key string, tr *tracer, out jobOutput, err error) {
+	s.log.Info("job done", tr.logFields()...)
 	if err != nil {
 		sj.set(JobFailed, nil, err.Error())
 		s.journalRecord(jobRecord{T: "failed", ID: sj.id, Err: err.Error()})
@@ -461,7 +464,7 @@ func (s *Server) buildAsyncJob(sj *storedJob, o dispatchOpts, timeout time.Durat
 		lane:    o.lane,
 		tracer:  o.tracer,
 		onDone: func(out jobOutput, err error) {
-			s.asyncOnDone(sj, o.key, out, err)
+			s.asyncOnDone(sj, o.key, o.tracer, out, err)
 		},
 		done: make(chan struct{}),
 	}

@@ -2,7 +2,10 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"eventorder/internal/gen"
@@ -79,6 +82,51 @@ func TestIngestAllocs(t *testing.T) {
 	}
 	if digest > digestAllocBound {
 		t.Errorf("executionDigest made %.0f allocations, bound %d", digest, digestAllocBound)
+	}
+}
+
+// pairRequestAllocBound bounds TestPairRequestAllocs: the count measured
+// with Go 1.24 (362) plus a little headroom. When a synchronous request
+// still logged a second line for its job, the count was 389.
+const pairRequestAllocBound = 375
+
+// TestPairRequestAllocs bounds the allocations of a whole synchronous pair
+// request through the handler: decode, resolve, the pair search, encode
+// and the request's log line, with the result cache unable to hold the
+// result, so every request is fresh.
+func TestPairRequestAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector changes allocation counts: sync.Pool drops items at random")
+	}
+	x, err := traceio.LoadExecution(bytes.NewReader(ingestTraces(t)["barrier-ring5"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := x.Labels()
+	body, err := json.Marshal(AnalyzeRequest{
+		ExecutionSource: ExecutionSource{Execution: compactTrace(t, x)},
+		Rel:             "CHB", A: labels[0], B: labels[len(labels)-1],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-byte budget caches nothing: every body is larger.
+	srv, err := New(Config{Workers: 1, CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
+	allocs := testing.AllocsPerRun(50, func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	})
+	t.Logf("CHB(%s, %s) on barrier-ring5: %.0f allocs per request", labels[0], labels[len(labels)-1], allocs)
+	if allocs > pairRequestAllocBound {
+		t.Errorf("a pair request made %.0f allocations, bound %d", allocs, pairRequestAllocBound)
 	}
 }
 

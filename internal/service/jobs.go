@@ -14,8 +14,8 @@ import (
 // Retry-After hint; a draining server will not come back for this
 // connection, so the client gets 503 and should re-resolve.
 var (
-	// errQueueFull is returned by submit when the target lane's accept
-	// queue is at capacity; handlers map it to 429 + Retry-After.
+	// errQueueFull is returned by submit when the worker pool's queue is
+	// at capacity; handlers map it to 429 + Retry-After.
 	errQueueFull = errors.New("service: queue full, retry later")
 	// errDraining is returned by submit when the server is shutting down;
 	// handlers map it to 503.
@@ -45,17 +45,19 @@ type jobOutput struct {
 	cause string
 }
 
-// job is one unit of analysis work bound for the worker pool. The ctx
-// carries the request deadline; workers pass it into the core engine's
-// context-aware search so an abandoned job stops burning CPU.
+// job is one unit of analysis work. The ctx carries the request deadline;
+// runJob passes it into the core engine's context-aware search so an
+// abandoned job stops burning CPU.
 type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
-	// run computes the result body. It executes on a worker goroutine
-	// with a private core.Analyzer; it must honor ctx.
+	// run computes the result body. It executes on a worker goroutine,
+	// or on the submitting one for a planner-decided job, with a private
+	// core.Analyzer; it must honor ctx.
 	run func(ctx context.Context) (jobOutput, error)
-	// onDone, when non-nil, observes the outcome on the worker goroutine
-	// (used for caching and async bookkeeping) before done is closed.
+	// onDone, when non-nil, observes the outcome on the goroutine that ran
+	// the job (used for caching and async bookkeeping) before done is
+	// closed.
 	onDone func(out jobOutput, err error)
 	// anytime marks jobs whose run yields a partial result with value
 	// under a dead context (matrix analyses). Such jobs execute even when
@@ -63,9 +65,9 @@ type job struct {
 	// cancellation poll and surfaces a resumable partial, where a
 	// non-anytime job would just burn CPU toward an error nobody reads.
 	anytime bool
-	// lane is the admission-control routing decision (LaneFast or
-	// LaneHeavy): which worker pool runs the job and which queue-wait
-	// histogram its wait lands in.
+	// lane is the admission-control routing decision: LaneFast runs the
+	// job on the submitting goroutine, LaneHeavy queues it for the worker
+	// pool. It also names the queue-wait histogram its wait lands in.
 	lane string
 	// submitted is when submit accepted the job; runJob derives the
 	// queue-wait span from it.
@@ -79,14 +81,12 @@ type job struct {
 	err  error
 }
 
-// submit enqueues j on its lane without blocking. It fails with
-// errQueueFull when that lane's queue is at capacity and errDraining when
-// the server no longer accepts work.
+// submit admits j without blocking. A planner-decided job (LaneFast) runs
+// to completion on the calling goroutine: its work is polynomial, and the
+// caller already planned it there. Every other job goes to the worker
+// pool's queue. submit fails with errQueueFull when that queue is at
+// capacity and errDraining when the server no longer accepts work.
 func (s *Server) submit(j *job) error {
-	queue := s.jobs
-	if j.lane == LaneFast {
-		queue = s.fastJobs
-	}
 	s.shutdownMu.Lock()
 	if s.closed {
 		s.shutdownMu.Unlock()
@@ -96,12 +96,20 @@ func (s *Server) submit(j *job) error {
 	// Stamp before the send: the receiving worker reads submitted, and a
 	// send can be received the instant it completes.
 	j.submitted = time.Now()
-	select {
-	case queue <- j:
+	if j.lane == LaneFast {
 		s.queueDepth.Add(1)
-		if j.lane == LaneFast {
-			s.metrics.Counter(MetricJobsFastLane).Add(1)
-		}
+		// Registered under shutdownMu like a queued job, so Shutdown
+		// waits for it as it waits for a running pool job.
+		s.workerWG.Add(1)
+		s.metrics.Counter(MetricJobsFastLane).Add(1)
+		s.shutdownMu.Unlock()
+		s.runJob(j)
+		s.workerWG.Done()
+		return nil
+	}
+	select {
+	case s.jobs <- j:
+		s.queueDepth.Add(1)
 		s.shutdownMu.Unlock()
 		return nil
 	default:
@@ -112,13 +120,13 @@ func (s *Server) submit(j *job) error {
 	}
 }
 
-// worker drains one lane's job channel until it is closed (graceful
-// shutdown closes both after the last submit). Each job runs under its own
-// context; a non-anytime job whose deadline already passed while queued is
-// failed without running.
-func (s *Server) worker(queue chan *job) {
+// worker drains the job queue until it is closed (graceful shutdown closes
+// it after the last submit). Each job runs under its own context; a
+// non-anytime job whose deadline already passed while queued is failed
+// without running.
+func (s *Server) worker() {
 	defer s.workerWG.Done()
-	for j := range queue {
+	for j := range s.jobs {
 		s.runJob(j)
 	}
 }
@@ -146,21 +154,13 @@ func (s *Server) runJob(j *job) {
 	if j.err != nil && (errors.Is(j.err, context.DeadlineExceeded) || errors.Is(j.err, context.Canceled)) {
 		s.metrics.Counter(MetricJobsDeadline).Add(1)
 	}
+	if j.err != nil && j.tracer != nil {
+		j.tracer.setErr(j.err)
+	}
 	if j.onDone != nil {
 		j.onDone(j.out, j.err)
 	}
-	if j.tracer != nil {
-		s.log.Info("job done", append(j.tracer.logFields(), "err", errString(j.err))...)
-	}
 	close(j.done)
-}
-
-// errString renders an error for a log attribute ("" when nil).
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }
 
 // Async job store -----------------------------------------------------------

@@ -81,9 +81,10 @@ const (
 	// MetricQueueWait is the per-lane queue-wait histogram family, in
 	// seconds, log-bucketed, as "queue_wait_seconds_<lane>"
 	// (queue_wait_seconds_fast, queue_wait_seconds_heavy): how long an
-	// admitted job waited before a worker picked it up. The admission
-	// contract the soak suite enforces is phrased over these — fast-lane
-	// p99 must stay below heavy-pool p50.
+	// admitted job waited before it started — for a fast-lane job, which
+	// runs on its request's goroutine, only the hand-off inside submit.
+	// The admission contract the soak suite enforces is phrased over
+	// these — fast-lane p99 must stay below heavy-pool p50.
 	MetricQueueWait = "queue_wait_seconds"
 	// MetricExploredNodes is the per-request search-effort histogram
 	// (log-bucketed node counts): the cost distribution of an NP-hard
@@ -99,8 +100,8 @@ const (
 	// degradation: they answer 200 with a partial result and a resumable
 	// checkpoint instead of queueing toward their full deadline).
 	MetricJobsShed = "jobs_shed"
-	// MetricJobsFastLane counts jobs routed to the cheap-request fast
-	// lane (planner-decidable matrix queries).
+	// MetricJobsFastLane counts fast-lane jobs: planner-decided matrix
+	// queries, run on their request's goroutine instead of the pool.
 	MetricJobsFastLane = "jobs_fast_lane"
 	// MetricShedMode gauges whether the server is currently degrading
 	// anytime requests (1 when the heavy queue is at or past the shed

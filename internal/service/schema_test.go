@@ -21,7 +21,7 @@ import (
 func TestMetricsSchemaGolden(t *testing.T) {
 	handshake := readTestdataProgram(t, "handshake.evo")
 	figure1 := readTestdataProgram(t, "figure1.evo")
-	_, ts := newTestServer(t, Config{Workers: 1, FastWorkers: 1, CacheBytes: 1 << 20})
+	_, ts := newTestServer(t, Config{Workers: 1, CacheBytes: 1 << 20})
 
 	// Exercise one fast-lane, one heavy, and one cached request plus the
 	// two GET endpoints so the scrape reflects real traffic.

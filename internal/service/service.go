@@ -5,7 +5,9 @@
 // CLI serves worst. The server amortizes that cost three ways:
 //
 //   - a bounded worker-pool job scheduler (N workers, each running jobs on
-//     private core.Analyzer instances, mirroring the S22 parallel path);
+//     private core.Analyzer instances, mirroring the S22 parallel path;
+//     a job the polynomial planner fully decides runs on its request's
+//     goroutine instead, since it never searches);
 //   - a content-addressed result cache (LRU with a byte budget) keyed by a
 //     canonical hash of the execution plus the query options, so repeated
 //     queries — the common case for interactive debugging — skip the
@@ -53,30 +55,18 @@ type Config struct {
 	// Workers is the number of analysis worker goroutines (default
 	// GOMAXPROCS). The worker pool bounds concurrent searches: each job
 	// builds its own core.Analyzer (the engine is single-threaded), so
-	// Workers is also the peak number of live analyzers.
+	// Workers bounds the live searching analyzers. A job the planner fully
+	// decides takes no worker: it runs on its request's goroutine, because
+	// it never searches.
 	Workers int
 	// QueueDepth bounds jobs admitted but not yet running (default 64).
 	// Submissions beyond it are rejected with 429 + Retry-After rather
 	// than queued without bound — load-shedding for a server of
 	// exponential queries.
 	QueueDepth int
-	// FastWorkers is the cheap-request fast lane's pool size (default 1;
-	// ignored when DisableFastLane). Requests the polynomial planner
-	// fully decides never touch the exponential engine, so routing them
-	// around the heavy pool keeps their latency flat no matter how many
-	// NP-hard queries are queued — the paper's hardness cliff is exactly
-	// why one FIFO for both classes has unbounded cheap-request p99.
-	FastWorkers int
-	// FastQueueDepth bounds the fast lane's accept queue (default
-	// QueueDepth).
-	FastQueueDepth int
-	// DisableFastLane routes every request through the heavy pool (the
-	// comparison/debugging escape hatch; cmd/bench -soak uses it for the
-	// with/without-lane experiment).
-	DisableFastLane bool
-	// ShedDepth is the heavy-queue occupancy at which load shedding
-	// engages (default 3/4 of QueueDepth, minimum 1): while the heavy
-	// queue holds at least this many jobs, anytime (matrix) requests get
+	// ShedDepth is the queue occupancy at which load shedding engages
+	// (default 3/4 of QueueDepth, minimum 1): while the queue holds at
+	// least this many jobs, anytime (matrix) requests bound for it get
 	// their deadline clamped to ShedTimeout, so they answer quickly with
 	// a partial result and a resumable checkpoint instead of deepening
 	// the backlog. Set it above QueueDepth to disable shedding.
@@ -106,22 +96,6 @@ type Config struct {
 	// MaxBudget caps client-requested search budgets (0 = no cap).
 	// Requests exceeding it are clamped to it.
 	MaxBudget int64
-	// DisablePOR turns off sleep-set partial-order reduction in every
-	// analysis this server runs. Verdicts, witnesses, and matrices are
-	// identical either way; the knob exists for comparison and debugging.
-	DisablePOR bool
-	// DisableSymm turns off process-symmetry orbit collapsing in every
-	// analysis this server runs. Verdicts, witnesses, and matrices are
-	// identical either way; the knob exists for comparison and debugging.
-	// It contributes to the matrix result-cache key, since symmetric and
-	// non-symmetric runs take different checkpoint shapes.
-	DisableSymm bool
-	// DisablePlan turns off the tiered polynomial planner for matrix
-	// queries: every request runs exact-only, as if it asked for
-	// tiers=-1. Verdicts are identical either way (the planner is a
-	// work-avoidance bracket, not an approximation); the knob exists for
-	// comparison and debugging.
-	DisablePlan bool
 	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
 	// MaxJobs bounds retained async jobs for polling (default 1024).
@@ -156,12 +130,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.FastWorkers <= 0 {
-		c.FastWorkers = 1
-	}
-	if c.FastQueueDepth <= 0 {
-		c.FastQueueDepth = c.QueueDepth
 	}
 	if c.ShedDepth <= 0 {
 		c.ShedDepth = max(1, c.QueueDepth*3/4)
@@ -206,7 +174,6 @@ type Server struct {
 	store   *jobStore
 
 	jobs        chan *job
-	fastJobs    chan *job
 	queueDepth  *Gauge
 	jobsRunning *Gauge
 	workerWG    sync.WaitGroup
@@ -248,7 +215,6 @@ func New(cfg Config) (*Server, error) {
 		cache:       newResultCache(cfg.CacheBytes, m),
 		store:       newJobStore(cfg.MaxJobs),
 		jobs:        make(chan *job, cfg.QueueDepth),
-		fastJobs:    make(chan *job, cfg.FastQueueDepth),
 		queueDepth:  m.Gauge(MetricQueueDepth),
 		jobsRunning: m.Gauge(MetricJobsRunning),
 	}
@@ -263,18 +229,10 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWG.Add(1)
-		go s.worker(s.jobs)
-	}
-	fastWorkers := cfg.FastWorkers
-	if cfg.DisableFastLane {
-		fastWorkers = 0
-	}
-	for i := 0; i < fastWorkers; i++ {
-		s.workerWG.Add(1)
-		go s.worker(s.fastJobs)
+		go s.worker()
 	}
 	// After the workers: recovery re-enqueues journaled jobs into the
-	// live queues.
+	// live queue.
 	if err := s.initDurability(); err != nil {
 		s.baseCancel()
 		s.drainCancel()
@@ -329,7 +287,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Metrics() *Registry { return s.metrics }
 
 // Shutdown drains the server: new submissions are rejected with 503,
-// queued and running jobs finish, then workers exit. After
+// queued and running jobs (planner-decided ones running on their
+// request's goroutine included) finish, then workers exit. After
 // Config.DrainCheckpoint, still-running anytime jobs are canceled so
 // they surface resumable partial results instead of holding the drain
 // open — with a state dir those partials are journaled as "checkpointed"
@@ -345,7 +304,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// Safe: submissions only send while holding shutdownMu with
 		// closed=false.
 		close(s.jobs)
-		close(s.fastJobs)
 	}
 	s.shutdownMu.Unlock()
 	var drainTimer *time.Timer
@@ -444,9 +402,8 @@ type AnalyzeRequest struct {
 	// Tiers caps the planner cascade for matrix queries: 0 (default)
 	// runs every polynomial tier, 1..3 run only the first so many, and
 	// -1 disables the planner (exact-only, no bracket). Ignored for pair
-	// queries; forced to -1 when the server was started with planning
-	// disabled. Verdicts do not depend on it — only the work split and
-	// the plan summary do.
+	// queries. Verdicts do not depend on it — only the work split and the
+	// plan summary do.
 	Tiers int `json:"tiers,omitempty"`
 	// TimeoutMs is the request deadline in milliseconds (0 = server
 	// default; capped by the server's maximum). A matrix query whose
@@ -825,8 +782,8 @@ func (s *Server) matrixLimits() core.MatrixLimits {
 // stateful), async vs synchronous delivery, the anytime flag (runs that
 // return a partial result with value under a dead context execute even
 // when the deadline passed while queued), the client deadline, and the
-// admission-control lane (LaneFast routes to the fast pool; anything else
-// to the heavy pool).
+// admission-control lane (LaneFast runs the job on the submitting
+// goroutine; anything else queues it for the worker pool).
 type dispatchOpts struct {
 	key       string
 	async     bool
@@ -859,12 +816,12 @@ func (s *Server) rejectSubmit(w http.ResponseWriter, r *http.Request, err error)
 // o.run must honor its context; its output body is cached under o.key
 // when the output says so (complete results only).
 //
-// Load shedding: when the heavy queue is at or past the shed depth, an
-// anytime request bound for the heavy pool gets its deadline clamped to
-// the shed timeout — it still runs, but answers quickly with a partial
-// result and a resumable checkpoint instead of deepening the backlog.
-// Fast-lane and non-anytime requests are never shed (the former are
-// polynomial, the latter have no partial result to degrade to).
+// Load shedding: when the queue is at or past the shed depth, an anytime
+// request bound for the worker pool gets its deadline clamped to the shed
+// timeout — it still runs, but answers quickly with a partial result and
+// a resumable checkpoint instead of deepening the backlog. Planner-decided
+// and non-anytime requests are never shed (the former are polynomial and
+// never queue, the latter have no partial result to degrade to).
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, o dispatchOpts) {
 	start := time.Now()
 	tr := tracerFrom(r.Context())
@@ -919,7 +876,10 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, o dispatchOpts
 			s.rejectSubmit(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, JobResponse{SchemaVersion: SchemaVersion, RequestID: tr.id, ID: sj.id, Status: JobQueued})
+		// A planner-decided job has already run inside submit, so report
+		// the stored state rather than assume it is still queued.
+		state, _, _, _ := sj.snapshot()
+		writeJSON(w, http.StatusAccepted, JobResponse{SchemaVersion: SchemaVersion, RequestID: tr.id, ID: sj.id, Status: state})
 		return
 	}
 
@@ -1064,7 +1024,7 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 	// core.MatrixOpts.Normalize rather than rejected: they are hints, not
 	// semantics — verdicts are identical at every setting.
 	pairQuery := req.A != "" || req.B != ""
-	opts := core.Options{IgnoreData: req.IgnoreData, MaxNodes: s.nodeBudget(req.Budget), DisablePOR: s.cfg.DisablePOR, DisableSymm: s.cfg.DisableSymm}
+	opts := core.Options{IgnoreData: req.IgnoreData, MaxNodes: s.nodeBudget(req.Budget)}
 
 	if pairQuery {
 		if req.A == "" || req.B == "" || len(kinds) != 1 || req.All {
@@ -1082,7 +1042,9 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 			return dispatchOpts{}, fmt.Errorf("service: a and b must name distinct events (both are %q)", req.A)
 		}
 		kind := kinds[0]
-		key := cacheKey(digest, fmt.Sprintf("analyze|pair|rel=%s|a=%s|b=%s|ignoreData=%t", kind, req.A, req.B, req.IgnoreData))
+		// Labels are client strings that may contain '|', so they are
+		// quoted to keep the descriptor unambiguous.
+		key := cacheKey(digest, fmt.Sprintf("analyze|pair|rel=%s|a=%q|b=%q|ignoreData=%t", kind, req.A, req.B, req.IgnoreData))
 		return dispatchOpts{key: key, async: req.Async, timeoutMs: req.TimeoutMs, endpoint: "analyze", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
 			an, err := core.New(x, opts)
 			if err != nil {
@@ -1118,9 +1080,6 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 		Tiers:  req.Tiers,
 		Resume: resume,
 	}
-	if s.cfg.DisablePlan {
-		mopts.Tiers = -1
-	}
 	mopts = mopts.Normalize(s.matrixLimits())
 	// The engine reports its forward/backward sweep spans to the request
 	// trace (the tracer is concurrency-safe; the job runs on a worker).
@@ -1129,11 +1088,11 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 	// Build the polynomial plan on the request path, not the worker: it
 	// doubles as the admission controller's cost estimate. A plan with
 	// zero residue means the cascade decided every pair — the job's cost
-	// is polynomial and proven, so it rides the fast lane past the queue
-	// of NP-hard searches. The finished plan is handed to the worker via
-	// AnalyzePlanned, so nothing is computed twice. Resumed runs skip
-	// planning (the seed travels inside the checkpoint) and are always
-	// heavy — a resume exists precisely because the query was hard.
+	// is polynomial and proven, so it runs on this goroutine instead of
+	// queueing behind NP-hard searches. The finished plan is handed to the
+	// job via AnalyzePlanned, so nothing is computed twice. Resumed runs
+	// skip planning (the seed travels inside the checkpoint) and are
+	// always heavy — a resume exists precisely because the query was hard.
 	var built *plan.Plan
 	lane := LaneHeavy
 	if resume == nil {
@@ -1145,7 +1104,7 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 		if perr != nil {
 			return dispatchOpts{}, perr
 		}
-		if built.Residue == 0 && !s.cfg.DisableFastLane {
+		if built.Residue == 0 {
 			lane = LaneFast
 		}
 	}
@@ -1155,7 +1114,7 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 	// requests bypass the cache entirely: serving a cached plan-bearing
 	// body for a resumed run would misreport provenance, and a partial
 	// body must never be cached at all.
-	key := cacheKey(digest, fmt.Sprintf("analyze|matrix|rel=%s|ignoreData=%t|tiers=%d|symm=%t", relDesc, req.IgnoreData, mopts.Tiers, !s.cfg.DisableSymm))
+	key := cacheKey(digest, fmt.Sprintf("analyze|matrix|rel=%s|ignoreData=%t|tiers=%d", relDesc, req.IgnoreData, mopts.Tiers))
 	if resume != nil {
 		key = ""
 		s.metrics.Counter(MetricAnalyzeResumed).Add(1)
@@ -1295,7 +1254,7 @@ func (s *Server) prepareRaces(req *RacesRequest, tr *tracer) (dispatchOpts, erro
 	if err != nil {
 		return dispatchOpts{}, err
 	}
-	opts := core.Options{IgnoreData: req.IgnoreData, MaxNodes: s.nodeBudget(req.Budget), DisablePOR: s.cfg.DisablePOR, DisableSymm: s.cfg.DisableSymm}
+	opts := core.Options{IgnoreData: req.IgnoreData, MaxNodes: s.nodeBudget(req.Budget)}
 	key := cacheKey(digest, fmt.Sprintf("races|ignoreData=%t", req.IgnoreData))
 	return dispatchOpts{key: key, async: req.Async, timeoutMs: req.TimeoutMs, endpoint: "races", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
 		var rep *race.Report
@@ -1374,8 +1333,8 @@ func (s *Server) prepareWitness(req *WitnessRequest, tr *tracer) (dispatchOpts, 
 	if ea == eb {
 		return dispatchOpts{}, fmt.Errorf("service: a and b must name distinct events (both are %q)", req.A)
 	}
-	opts := core.Options{IgnoreData: req.IgnoreData, MaxNodes: s.nodeBudget(req.Budget), DisablePOR: s.cfg.DisablePOR, DisableSymm: s.cfg.DisableSymm}
-	key := cacheKey(digest, fmt.Sprintf("witness|rel=%s|a=%s|b=%s|ignoreData=%t", kind, req.A, req.B, req.IgnoreData))
+	opts := core.Options{IgnoreData: req.IgnoreData, MaxNodes: s.nodeBudget(req.Budget)}
+	key := cacheKey(digest, fmt.Sprintf("witness|rel=%s|a=%q|b=%q|ignoreData=%t", kind, req.A, req.B, req.IgnoreData))
 	return dispatchOpts{key: key, async: req.Async, timeoutMs: req.TimeoutMs, endpoint: "witness", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
 		an, err := core.New(x, opts)
 		if err != nil {
@@ -1450,7 +1409,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":     status,
 		"workers":    s.cfg.Workers,
 		"queueDepth": s.queueDepth.Value(),
-		"fastLane":   !s.cfg.DisableFastLane,
 		"shedding":   len(s.jobs) >= s.cfg.ShedDepth,
 	})
 }

@@ -198,6 +198,55 @@ func TestCacheContentAddressing(t *testing.T) {
 	}
 }
 
+// TestCacheKeyQuotesLabels: labels are client strings and may contain the
+// '|' that separates the fields of a cache key's descriptor. The pairs
+// (a="x|b=y", b="z") and (a="x", b="y|b=z") must get different keys, on
+// the analyze and witness endpoints alike.
+func TestCacheKeyQuotesLabels(t *testing.T) {
+	parsed, err := lang.Parse("proc p {\n x: skip\n y: skip\n}\nproc q {\n xb: skip\n}\nproc r {\n z: skip\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := interp.RunAvoidingDeadlock(parsed, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := res.X
+	for i, e := range x.Events {
+		switch e.Label {
+		case "y":
+			x.Events[i].Label = "y|b=z"
+		case "xb":
+			x.Events[i].Label = "x|b=y"
+		}
+	}
+	trace := executionJSON(t, x)
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, ep := range []string{"analyze", "witness"} {
+		for _, q := range []struct {
+			a, b string
+			want Verdict
+		}{
+			{"x|b=y", "z", VerdictFalse}, // different processes, no synchronization
+			{"x", "y|b=z", VerdictTrue},  // program order
+		} {
+			resp, body := postJSON(t, ts.URL+"/v1/"+ep, map[string]any{"execution": trace, "rel": "MHB", "a": q.a, "b": q.b})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s MHB(%s, %s): status %d: %s", ep, q.a, q.b, resp.StatusCode, body)
+			}
+			env := decodeEnvelope(t, body)
+			var got PairResult // a WitnessResult's rel, a, b and verdict decode alike
+			if err := json.Unmarshal(env.Result, &got); err != nil {
+				t.Fatal(err)
+			}
+			if env.Cached || got.A != q.a || got.B != q.b || got.Verdict != q.want {
+				t.Errorf("%s MHB(%s, %s): cached %t, echo (%s, %s), verdict %s; want a fresh %s",
+					ep, q.a, q.b, env.Cached, got.A, got.B, got.Verdict, q.want)
+			}
+		}
+	}
+}
+
 // TestEventFreeProgram: a program with no events runs to an execution with
 // no ops and no order, which is valid. Whole-execution queries answer 200
 // and a pair query answers 400 for its missing labels.
@@ -601,14 +650,14 @@ func TestGracefulShutdownDrain(t *testing.T) {
 
 // TestQueueFullRejects fills the single-slot queue behind a busy worker
 // and requires admission control to answer 429 with a Retry-After hint.
-// The fast lane is disabled so every submission contends for the one
-// heavy queue slot.
+// The barrier trace leaves residue, so every submission contends for the
+// one queue slot.
 func TestQueueFullRejects(t *testing.T) {
 	slow, err := gen.Barrier(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, DisableFastLane: true})
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	slowReq := func(seed int) map[string]any {
 		return map[string]any{
 			"execution": executionJSON(t, slow), "all": true, "async": true,
@@ -970,23 +1019,5 @@ func TestAnalyzeTiersKnob(t *testing.T) {
 	}
 	if _, ok := snap.Counters[MetricPlanPairs+"_exact"]; !ok {
 		t.Errorf("no exact residue counter registered: %+v", snap.Counters)
-	}
-}
-
-// TestDisablePlanConfig pins the server-wide kill switch: with
-// DisablePlan set, even a default (tiers=0) matrix request runs
-// exact-only and reports an empty cascade.
-func TestDisablePlanConfig(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, DisablePlan: true})
-	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{"program": figure1Program(t), "all": true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var m MatrixResult
-	if err := json.Unmarshal(decodeEnvelope(t, body).Result, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Plan == nil || len(m.Plan.Tiers) != 0 || m.Plan.ResiduePairs != m.Plan.TotalPairs {
-		t.Errorf("DisablePlan plan summary = %+v, want empty cascade with all pairs residue", m.Plan)
 	}
 }

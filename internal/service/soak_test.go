@@ -48,14 +48,11 @@ func TestSoakMixedTraffic(t *testing.T) {
 		RequestBudget: 50000,
 		Programs:      loadSoakPrograms(t),
 		Server: Config{
-			// Undersized on purpose: one heavy worker and a shallow queue
-			// so shedding, throttling, and fast-lane isolation all engage;
-			// the fast pool is wide enough that cheap requests only ever
-			// wait on each other, not on scheduling luck.
-			Workers:     1,
-			FastWorkers: 4,
-			QueueDepth:  8,
-			CacheBytes:  1 << 16, // tiny: force evictions and misses
+			// Undersized on purpose: one worker and a shallow queue so
+			// shedding, throttling, and fast-lane isolation all engage.
+			Workers:    1,
+			QueueDepth: 8,
+			CacheBytes: 1 << 16, // tiny: force evictions and misses
 		},
 	})
 	if err != nil {

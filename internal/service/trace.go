@@ -60,10 +60,11 @@ type TraceInfo struct {
 	// X-Request-Id header and on every log line for this request.
 	RequestID string `json:"requestId"`
 	// Lane reports how admission control routed the request: "cache"
-	// (served from the result cache, no job ran), "fast" (the cheap-
-	// request lane: the polynomial planner decided every pair, so no
-	// exponential search was needed), or "heavy" (the general pool).
-	// Empty for requests that never touched admission (health, metrics).
+	// (served from the result cache, no job ran), "fast" (answered on the
+	// request's own goroutine, because the polynomial planner decided
+	// every pair and no exponential search was needed), or "heavy" (the
+	// worker pool). Empty for requests that never touched admission
+	// (health, metrics).
 	Lane string `json:"lane,omitempty"`
 	// Shed reports that load shedding degraded this request: the server
 	// was under queue pressure, so the request's deadline was clamped to
@@ -80,9 +81,10 @@ type TraceInfo struct {
 const (
 	// LaneCache marks responses served from the result cache.
 	LaneCache = "cache"
-	// LaneFast marks planner-decidable requests served by the fast pool.
+	// LaneFast marks planner-decided requests answered on their own
+	// goroutine, without entering the worker pool's queue.
 	LaneFast = "fast"
-	// LaneHeavy marks requests served by the general worker pool.
+	// LaneHeavy marks requests served by the worker pool.
 	LaneHeavy = "heavy"
 )
 
@@ -99,6 +101,7 @@ type tracer struct {
 	shed      bool
 	queueWait time.Duration
 	phases    []Phase
+	err       string
 }
 
 // phase records one completed span.
@@ -137,6 +140,13 @@ func (tr *tracer) setQueueWait(d time.Duration) {
 	tr.mu.Unlock()
 }
 
+// setErr records the error a failed job ended with.
+func (tr *tracer) setErr(err error) {
+	tr.mu.Lock()
+	tr.err = err.Error()
+	tr.mu.Unlock()
+}
+
 // info snapshots the trace block for the response envelope.
 func (tr *tracer) info() *TraceInfo {
 	tr.mu.Lock()
@@ -164,6 +174,9 @@ func (tr *tracer) logFields() []any {
 	}
 	for _, p := range tr.phases {
 		fields = append(fields, "phase_"+p.Name+"_ms", p.Ms)
+	}
+	if tr.err != "" {
+		fields = append(fields, "err", tr.err)
 	}
 	return fields
 }

@@ -26,15 +26,13 @@
 // EXPERIMENTS E20 numbers).
 //
 // Median-of-reps matrix wall-clock is reported, plus node throughput
-// (states/second through the batch engine), explored node and edge counts
-// with the sleep-set reduction's on/off edge comparison (states are
-// identical either way; edges are what reduction prunes), the symmetry
-// reduction's on/off state comparison (process-symmetry orbit collapsing
-// shrinks the state count itself, reported as symm_state_reduction), and
-// heap allocations per expanded state. -procs pins GOMAXPROCS for the
-// whole run; the report records the effective value, NumCPU, and whether
-// GOMAXPROCS exceeds NumCPU (oversubscribed), so committed artifacts are
-// honest about the hardware they measured. -assert-symm-ge fails the run
+// (states/second through the batch engine), explored node and edge counts,
+// the symmetry reduction's on/off state comparison (process-symmetry orbit
+// collapsing shrinks the state count itself, reported as
+// symm_state_reduction), and heap allocations per expanded state. -procs
+// pins GOMAXPROCS for the whole run; the report records the effective
+// value, NumCPU, and whether GOMAXPROCS exceeds NumCPU (oversubscribed),
+// so committed artifacts are honest about the hardware they measured. -assert-symm-ge fails the run
 // if any case's symm_state_reduction falls below the given bound — a CI
 // hook keeping the collapse from silently regressing. -baseline points at
 // a previous report (same schema); its per-case matrix timings and
@@ -87,16 +85,9 @@ type caseResult struct {
 	MatrixMS float64 `json:"matrix_ms"`
 	// MatrixNodes is the distinct states the batch engine expanded.
 	MatrixNodes int64 `json:"matrix_nodes"`
-	// MatrixEdges is the successor transitions the batch engine explored —
-	// the quantity sleep-set partial-order reduction prunes. States are
-	// identical with reduction on or off; edges are not.
+	// MatrixEdges is the successor transitions the batch engine's forward
+	// sweep explored.
 	MatrixEdges int64 `json:"explored_edges"`
-	// MatrixEdgesNoPOR is MatrixEdges with reduction disabled, and
-	// MatrixNoPORMS the corresponding wall-clock; EdgeReduction is their
-	// ratio (off/on).
-	MatrixEdgesNoPOR int64   `json:"explored_edges_nopor,omitempty"`
-	MatrixNoPORMS    float64 `json:"matrix_nopor_ms,omitempty"`
-	EdgeReduction    float64 `json:"edge_reduction,omitempty"`
 	// MatrixNodesNoSymm is MatrixNodes with process-symmetry orbit
 	// collapsing disabled — the full state count the orbit-canonical
 	// representatives stand for — and MatrixNoSymmMS the corresponding
@@ -285,13 +276,11 @@ func loadBaseline(path string) (*report, error) {
 
 // workloads returns the benchmark instances. Barrier and fork/join
 // instances are the interesting ones: their matrices force the engine
-// through large state spaces, and their concurrency gives sleep-set
-// reduction commuting edges to prune. The mutex and pipeline instances
-// show the other regime: nearly (mutex) or fully (pipeline) serialized
-// spaces where reduction finds nothing to cut. When testdataDir is non-empty, every
-// .evo program there is executed once (deadlock-avoiding, seed 1) and
-// benched as "testdata/<name>" — these are the workloads the planner
-// bracket columns are judged on.
+// through large state spaces. The mutex and pipeline instances show the
+// other regime: nearly (mutex) or fully (pipeline) serialized spaces.
+// When testdataDir is non-empty, every .evo program there is executed once
+// (deadlock-avoiding, seed 1) and benched as "testdata/<name>" — these are
+// the workloads the planner bracket columns are judged on.
 func workloads(testdataDir string) ([]benchCase, error) {
 	var cases []benchCase
 	add := func(name string, x *model.Execution, err error) error {
@@ -394,18 +383,6 @@ func runCase(c benchCase, reps int, baseline *report) (caseResult, error) {
 	}
 	fmt.Fprintf(os.Stderr, "  matrix                %10.2f ms  (%.0f nodes/s, %d nodes, %d edges)\n",
 		mat, res.MatrixNodesPerSec, nodes, edges)
-
-	mat, _, edges, err = matrixRun(core.Options{DisablePOR: true})
-	if err != nil {
-		return res, err
-	}
-	res.MatrixNoPORMS, res.MatrixEdgesNoPOR = mat, edges
-	fmt.Fprintf(os.Stderr, "  matrix-nopor          %10.2f ms  (%d edges without reduction)\n", mat, edges)
-	if res.MatrixEdges > 0 {
-		res.EdgeReduction = round2(float64(res.MatrixEdgesNoPOR) / float64(res.MatrixEdges))
-		fmt.Fprintf(os.Stderr, "  edge reduction        %10.2fx (%d -> %d)\n",
-			res.EdgeReduction, res.MatrixEdgesNoPOR, res.MatrixEdges)
-	}
 
 	mat, nodes, _, err = matrixRun(core.Options{DisableSymm: true})
 	if err != nil {

@@ -71,12 +71,10 @@ type MatrixOpts struct {
 	// tier, 1..MaxPlanTiers a prefix, negative disables planning.
 	// Analyzer.Matrix itself ignores it — the plan arrives via Seed.
 	Tiers int
-	// DisablePOR turns off sleep-set pruning for this batch's forward
-	// expansion (it is also off whenever the analyzer's Options.DisablePOR
-	// is set or the execution exceeds 64 processes). Matrices are
-	// bit-identical either way: sleep sets prune duplicate edges, never
-	// states, and the backward completability sweep always walks the full
-	// enabled set. A resumed run inherits the checkpoint's setting.
+	// DisablePOR is ignored, like Options.DisablePOR.
+	//
+	// Deprecated: sleep-set reduction was removed from the forward sweep;
+	// the field remains so existing callers compile.
 	DisablePOR bool
 	// DisableSymm turns off process-symmetry orbit collapsing for this
 	// batch's sweeps (it is also off whenever the analyzer's
@@ -278,7 +276,6 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 
 	n := len(a.x.Events)
 	seed := opts.Seed
-	por := a.por && !opts.DisablePOR
 	sym := a.symm && !opts.DisableSymm
 	ckpt := opts.Resume
 	if ckpt != nil {
@@ -289,12 +286,11 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 			return nil, err
 		}
 		seed = ckpt.seed()
-		por = ckpt.POR
 		// The checkpoint's stored state keys are orbit-canonical when it
 		// was cut from a symmetry-reduced run; resuming them without the
-		// canonicalizer would treat representatives as the whole frontier.
-		// POR-style silent inheritance is impossible in that direction, so
-		// the mismatch is an error rather than a downgrade.
+		// canonicalizer would treat representatives as the whole frontier,
+		// so the mismatch is an error rather than a downgrade. A raw-key
+		// checkpoint resumes raw on any analyzer.
 		if ckpt.Symm && !sym {
 			return nil, badCheckpoint("checkpoint was cut from a symmetry-reduced run; resume with Options.DisableSymm and MatrixOpts.DisableSymm unset")
 		}
@@ -329,7 +325,7 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 		}
 	}
 
-	run, err := newBatchRun(a, ctx, budget, por, sym, seed, ckpt)
+	run, err := newBatchRun(a, ctx, budget, sym, seed, ckpt)
 	if err != nil {
 		return nil, err
 	}
@@ -366,12 +362,7 @@ func isInterrupt(err error) bool {
 // value bit is "completable" (false while only interned by the forward
 // pass, flipped true by the backward sweep). Keys use the canComplete
 // discriminator byte, so a finished table serves as the analyzer's
-// completion memo as is. The aux word carries each state's accumulated
-// sleep mask during the POR forward sweep: InternAux AND-merges the
-// per-edge contributions, so a state reachable along several paths sleeps
-// only what every path permits — and because levels are expanded in
-// order, every contribution has landed before the state itself is
-// expanded.
+// completion memo as is.
 //
 // The sweeps step the analyzer's own search state (pc, sem, ev and the
 // depth-0 scratch slots); every per-pair query resets that state before
@@ -417,18 +408,12 @@ type batchRun struct {
 	inProgEvent [][]int32    // [proc][pc] the one in-progress event, or -1
 	semPfx      [][][]int32  // [proc][pc] cumulative semaphore deltas
 
-	// por enables sleep-set pruning of the forward expansion.
-	por bool
-
 	// symm enables orbit-canonical state keys: the forward sweep interns
-	// only the least representative of each orbit (sleep masks translated
-	// into its frame by the witness permutation), the backward sweep folds
+	// only the least representative of each orbit, the backward sweep folds
 	// facts for every orbit member, and pcSeen's aux word accumulates
 	// which per-process sync-edge orbit folds a canonical signature has
-	// already run. perm is witness scratch; orbit the orbit-enumeration
-	// walker.
+	// already run. orbit is the orbit-enumeration walker.
 	symm  bool
-	perm  []int32
 	orbit orbitWalker
 
 	// onPhase mirrors MatrixOpts.OnPhase (nil when unobserved): explore
@@ -451,14 +436,13 @@ type batchRun struct {
 	budget int64 // total state budget; ≤ 0 means unlimited
 }
 
-func newBatchRun(a *Analyzer, ctx context.Context, budget int64, por, sym bool, seed *FactSeed, ckpt *Checkpoint) (*batchRun, error) {
+func newBatchRun(a *Analyzer, ctx context.Context, budget int64, sym bool, seed *FactSeed, ckpt *Checkpoint) (*batchRun, error) {
 	n := len(a.x.Events)
 	r := &batchRun{
 		a:         a,
 		ctx:       ctx,
 		factWords: (n + 63) / 64,
 		budget:    budget,
-		por:       por,
 		symm:      sym,
 		seed:      seed,
 	}
@@ -512,7 +496,6 @@ func newBatchRun(a *Analyzer, ctx context.Context, budget int64, por, sym bool, 
 		}
 	}
 	if sym {
-		r.perm = make([]int32, len(a.pc))
 		r.orbit = orbitWalker{
 			r:    r,
 			pc:   make([]int32, len(a.pc)),
@@ -533,8 +516,17 @@ func newBatchRun(a *Analyzer, ctx context.Context, budget int64, por, sym bool, 
 // each key on its executed-action count (levels are a pure function of
 // the program counters, so no separate frontier encoding is needed), and
 // the budget counters resume cumulatively.
+//
+// States' aux words are dropped: checkpoints cut by builds that had
+// sleep-set reduction carry each state's sleep mask there. Ignoring them
+// is sound — such a run had still interned every state of every level up
+// to the cut (sleep sets prune edges, never states), the re-run level is
+// now expanded unreduced, and the backward sweep always walked the full
+// enabled set.
 func (r *batchRun) restore(ckpt *Checkpoint) error {
-	if err := r.table.Import(ckpt.States); err != nil {
+	states := *ckpt.States
+	states.Aux = nil
+	if err := r.table.Import(&states); err != nil {
 		return err
 	}
 	if err := r.pcSeen.Import(ckpt.PcSeen); err != nil {
@@ -755,45 +747,20 @@ func (r *batchRun) forward() error {
 			}
 			key := frontier[i*kw : (i+1)*kw]
 			r.decodeState(key)
-			var cand uint64
-			if r.por {
-				// The state's final sleep mask: the AND of every incoming
-				// edge's contribution, all of which landed while the
-				// previous level was expanded.
-				_, cand, _ = r.table.LookupAux(key)
-			}
-			sleep := cand
-			enabled := s.appendEnabled(s.enabledSlot(0))
 			child := s.keySlot(0)
 			// With symmetry on, successors are patched into raw scratch
-			// and canonicalized into child before interning, the sleep
-			// contribution translated into the canonical frame by the
-			// witness permutation. The parent's own mask needs no inverse
-			// translation: the parent key IS canonical, and decodeState
-			// put the search state in that same canonical frame.
+			// and canonicalized into child before interning.
 			raw := child
 			if r.symm {
 				raw = s.symmRaw
 			}
-			for _, id := range enabled {
-				var childMask uint64
-				if r.por {
-					pbit := uint64(1) << uint(s.acts[id].proc)
-					if sleep&pbit != 0 {
-						continue // pruned: a commuted duplicate path
-					}
-					childMask = s.filterSleep(cand, id, nil)
-					cand |= pbit
-				}
+			for _, id := range s.appendEnabled(s.enabledSlot(0)) {
 				r.edges++
 				s.patchChildKey(id, key, raw)
-				if r.symm {
-					if s.canonicalizeKey(raw, child, r.perm) {
-						s.stats.SymmCollapses++
-					}
-					childMask = permuteMask(childMask, r.perm)
+				if r.symm && s.canonicalizeKey(raw, child) {
+					s.stats.SymmCollapses++
 				}
-				if r.table.InternAux(child, childMask) {
+				if r.table.Intern(child) {
 					next = append(next, child...)
 				}
 			}
@@ -834,7 +801,7 @@ func (r *batchRun) backward() error {
 					if r.symm {
 						// The table holds canonical keys only; the child of
 						// a canonical state need not be canonical itself.
-						s.canonicalizeKey(child, s.symmRaw, r.perm)
+						s.canonicalizeKey(child, s.symmRaw)
 						ck = s.symmRaw
 					}
 					childOK, _ := r.table.Lookup(ck)
@@ -1105,7 +1072,6 @@ func (r *batchRun) checkpoint() *Checkpoint {
 	n := len(r.a.x.Events)
 	c := &Checkpoint{
 		Fingerprint: r.a.fingerprint(),
-		POR:         r.por,
 		Symm:        r.symm,
 		Phase:       r.phase,
 		NextLevel:   r.phaseLvl,
@@ -1124,7 +1090,7 @@ func (r *batchRun) checkpoint() *Checkpoint {
 			if r.keyLevel(key) > r.phaseLvl {
 				continue
 			}
-			filtered.Append(key, snap.Val(i), snap.AuxAt(i))
+			filtered.Append(key, snap.Val(i))
 		}
 		snap = filtered
 	}
@@ -1261,18 +1227,14 @@ func (r *batchRun) completeResult(kinds []RelKind) *MatrixResult {
 // handOverMemo installs the finished state table as the analyzer's
 // persistent completion memo (batch keys use the canComplete
 // discriminator byte), so per-pair queries issued after a Matrix call
-// start with the whole reachable space memoized. The backward sweep
-// decides completability over the FULL enabled set, so every verdict is
-// exact and reusable under any sleep set — which is what an aux word of 0
-// says, so the forward sweep's sleep masks are cleared first. The table
-// replaces the previous memo instead of merging into it: it holds every
-// reachable state under the run's keys, and those include every key a
-// per-pair query memoizes (orbit-canonical keys when the analyzer reduces
+// start with the whole reachable space memoized. The table replaces the
+// previous memo instead of merging into it: it holds every reachable
+// state under the run's keys, and those include every key a per-pair
+// query memoizes (orbit-canonical keys when the analyzer reduces
 // symmetry, raw keys otherwise).
 func (r *batchRun) handOverMemo() {
 	if r.a.opts.DisableMemo {
 		return
 	}
-	r.table.ClearAux()
 	r.a.memoComplete = r.table
 }

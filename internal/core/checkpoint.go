@@ -47,10 +47,10 @@ func badCheckpoint(format string, args ...any) error {
 // MatrixOpts.Resume. It captures everything the level-synchronous sweeps
 // need to pick up where they stopped:
 //
-//   - the shared state table (packed keys, completability bits, sleep-set
-//     aux masks) as a statetab.Snapshot — the exploration's memo AND its
-//     frontier, since a key's level is recoverable from its program
-//     counters (level = executed actions = Σ pc);
+//   - the shared state table (packed keys and completability bits) as a
+//     statetab.Snapshot — the exploration's memo AND its frontier, since a
+//     key's level is recoverable from its program counters (level =
+//     executed actions = Σ pc);
 //   - which sweep was running (Phase) and the level it was processing
 //     (NextLevel) — resuming re-runs that level from scratch, which is
 //     safe because every per-state step is idempotent and deterministic;
@@ -77,9 +77,6 @@ type Checkpoint struct {
 	// Fingerprint identifies the execution structure and feasibility
 	// notion this checkpoint belongs to.
 	Fingerprint [32]byte
-	// POR records whether sleep-set pruning was on; the resumed run keeps
-	// the same setting so the stored aux masks retain their meaning.
-	POR bool
 	// Symm records whether process-symmetry orbit collapsing was on. The
 	// stored state keys are then orbit-canonical representatives (and
 	// PcSeen's aux words are fold-progress masks), so the resumed run
@@ -101,7 +98,9 @@ type Checkpoint struct {
 	// NumEvents is the execution's event count (sizes the fact rows).
 	NumEvents int
 	// States is the shared exploration table: packed state keys, each
-	// with its completability bit and sleep-mask aux word.
+	// with its completability bit. Checkpoints from builds with sleep-set
+	// reduction also carry a POR flag and per-state sleep masks in the aux
+	// words; gob skips the flag and resume ignores the masks.
 	States *statetab.Snapshot
 	// PcSeen is the set of pc signatures whose facts are already folded.
 	PcSeen *statetab.Snapshot

@@ -92,7 +92,6 @@ func TestDecodeCheckpointStringSizeCapBeforeDecode(t *testing.T) {
 
 func TestCheckpointRoundTripVersioned(t *testing.T) {
 	c := &Checkpoint{
-		POR:       true,
 		Symm:      true,
 		Phase:     ckPhaseBackward,
 		NextLevel: 7,

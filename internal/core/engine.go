@@ -63,22 +63,22 @@ type Options struct {
 	// use — without memoization the search revisits states and the running
 	// time explodes even on easy inputs.
 	DisableMemo bool
-	// DisablePOR turns off sleep-set partial-order reduction, restoring the
-	// unreduced search (every enabled action explored at every node).
-	// Verdicts, witness validity and relation matrices are identical either
-	// way — POR only prunes commuted duplicate edges — so this exists as an
-	// escape hatch and for the differential oracle and benchmarks. POR also
-	// disables itself automatically on executions with more than 64
-	// processes (sleep sets are process bitmasks).
+	// DisablePOR is ignored: the search explores every enabled action at
+	// every node.
+	//
+	// Deprecated: sleep-set partial-order reduction was removed (the state
+	// memo already dedupes the states it would have reached along commuted
+	// paths, so it saved only edges and grew the per-pair search); the
+	// field remains so existing callers compile.
 	DisablePOR bool
 	// DisableSymm turns off process-symmetry reduction, restoring raw
 	// (non-canonicalized) state keys in the completion memo and the batch
 	// sweeps. Verdicts and relation matrices are identical either way —
 	// symmetry only collapses states that differ by a proven program
-	// automorphism — so, like DisablePOR, this is an escape hatch and a
-	// differential-testing axis. Symmetry also disables itself
-	// automatically when no nontrivial group is detected or on executions
-	// with more than 64 processes (witness masks are process bitmasks).
+	// automorphism — so this is an escape hatch and a differential-testing
+	// axis. Symmetry also disables itself automatically when no nontrivial
+	// group is detected or on executions with more than 64 processes (the
+	// batch engine's fold masks are process bitmasks).
 	DisableSymm bool
 }
 
@@ -89,7 +89,7 @@ type Options struct {
 // production: the eventorderd service exports them on /metrics.
 type Stats struct {
 	Nodes        int64   // search nodes expanded across all queries
-	Edges        int64   // successor transitions explored (what POR prunes)
+	Edges        int64   // successor transitions explored
 	MemoHits     int64   // memoized answers reused
 	CompleteMemo int     // entries in the persistent completion memo
 	MemoBytes    int64   // heap bytes held by the completion memo's arrays
@@ -188,26 +188,15 @@ type Analyzer struct {
 	ctx     context.Context
 	ctxTick uint32 // node counter for amortized ctx polling
 
-	// Sleep-set partial-order reduction (por.go). por is true unless
-	// disabled by Options.DisablePOR or by a process count over 64; the
-	// dependence tables exist only while por is true.
-	por    bool
-	depAll []bool    // action id → dependent with every action (fork/join)
-	depAdj [][]int32 // action id → data-dependence neighbors, both directions
-
 	// Process-symmetry reduction (symm.go). symm is true when a nontrivial
 	// process-permutation group was detected and not disabled; the class
 	// tables are immutable and the scratch below is reused by every search.
-	// symmRaw holds the raw packed key before canonicalization; permArena
-	// holds per-depth witness permutations, which must survive recursion
-	// into child frames like keyArena slots.
+	// symmRaw holds the raw packed key before canonicalization.
 	symm        bool
 	symmClasses [][]int32 // interchangeable-process classes, ascending ids
 	symmClassOf []int32   // proc → class index, or -1 if fixed
 	symmVals    []int32   // per-class pc values during canonicalization
-	symmIdx     []int32   // per-class sort permutation scratch
 	symmRaw     []uint64  // raw-key scratch (keyWords words)
-	permArena   []int32   // per-depth witness permutations (len(pc) each)
 
 	// Must-precede pre-check scratch (must.go), allocated on the first
 	// pair query: per-action visit marks tagged with the current search's
@@ -403,10 +392,6 @@ func newAnalyzer(x *model.Execution, opts Options, needOrder bool) (*Analyzer, e
 	}
 	a.evBits = len(a.evNames)
 	a.keyWords = (len(x.Procs)*int(a.pcBits) + a.evBits + 8 + 63) / 64
-	a.por = !opts.DisablePOR && len(x.Procs) <= 64
-	if a.por {
-		a.buildPOR()
-	}
 	if !opts.DisableSymm && len(x.Procs) >= 2 && len(x.Procs) <= 64 {
 		if g := symm.Detect(x, opts.IgnoreData); !g.Trivial() {
 			a.symm = true
@@ -427,11 +412,8 @@ func (a *Analyzer) allocScratch() {
 	a.enabledArena = make([]int32, depths*len(a.procActs))
 	a.walkEnabled = make([]int32, 0, len(a.procActs))
 	if a.symm {
-		np := len(a.procActs)
-		a.symmVals = make([]int32, np)
-		a.symmIdx = make([]int32, np)
+		a.symmVals = make([]int32, len(a.procActs))
 		a.symmRaw = make([]uint64, a.keyWords)
-		a.permArena = make([]int32, depths*np)
 	}
 }
 
@@ -739,111 +721,48 @@ func (a *Analyzer) budgetCharge(remaining *int64) error {
 // derived exactly once — recursion only touches deeper arena slots, so the
 // slot survives for the memo store — and neither the key nor the enabled
 // list allocates.
-//
-// sleep is the inherited sleep-set process mask (por.go); root callers pass
-// 0, which makes the verdict exact. Memo entries carry the mask of enabled
-// processes the stored search never explored (its aux word): a true verdict
-// or a false one whose unexplored mask is covered by the caller's sleep set
-// is reusable as-is; otherwise the node is partially re-explored — only the
-// transitions the stored pass slept and this caller must not. Re-explored
-// transitions skip the previously explored ones but do NOT sleep on them
-// (coverage obligations must point at earlier-explored siblings only, or
-// two visits could each sleep the other's transitions and jointly prune a
-// real completion).
-func (a *Analyzer) canComplete(budget *int64, depth int, sleep uint64) (bool, error) {
+func (a *Analyzer) canComplete(budget *int64, depth int) (bool, error) {
 	if a.allDone() {
 		return true, nil
 	}
 	var key []uint64
-	var perm []int32
-	var oldMask uint64
-	reexplore := false
 	if !a.opts.DisableMemo {
 		key = a.keySlot(depth)
 		if a.symm {
 			// Memoize under the orbit-canonical key: completability is
 			// invariant under program automorphisms, so every orbit member
-			// shares one entry. The witness permutation translates POR
-			// sleep masks between this state's process frame and the
-			// canonical one (stored masks live in canonical coordinates).
-			perm = a.permSlot(depth)
+			// shares one entry.
 			a.packKey(keyExtraComplete, a.symmRaw)
-			if a.canonicalizeKey(a.symmRaw, key, perm) {
+			if a.canonicalizeKey(a.symmRaw, key) {
 				a.stats.SymmCollapses++
 			}
 		} else {
 			a.packKey(keyExtraComplete, key)
 		}
-		if v, aux, ok := a.memoComplete.LookupAux(key); ok {
-			sleepC := sleep
-			if a.symm {
-				sleepC = permuteMask(sleep, perm)
-			}
-			if v || aux&^sleepC == 0 {
-				a.stats.MemoHits++
-				return v, nil
-			}
-			oldMask = aux
-			if a.symm {
-				oldMask = unpermuteMask(aux, perm)
-			}
-			reexplore = true
+		if v, ok := a.memoComplete.Lookup(key); ok {
+			a.stats.MemoHits++
+			return v, nil
 		}
 	}
 	if err := a.budgetCharge(budget); err != nil {
 		return false, err
 	}
-	enabled := a.appendEnabled(a.enabledSlot(depth))
-	var skip, cand, unexplored uint64
-	if a.por {
-		em := a.enabledProcMask(enabled)
-		skip = sleep & em
-		cand = skip
-		unexplored = skip
-		if reexplore {
-			// Obligations: enabled transitions the stored pass slept that the
-			// current sleep set does not cover. Everything else is skipped.
-			skip |= em &^ oldMask
-			unexplored &= oldMask
-		}
-	}
 	result := false
-	var searchErr error
-	for _, id := range enabled {
-		pbit := uint64(1) << uint(a.acts[id].proc)
-		if skip&pbit != 0 {
-			continue
-		}
+	for _, id := range a.appendEnabled(a.enabledSlot(depth)) {
 		a.stats.Edges++
-		var childSleep uint64
-		if a.por {
-			childSleep = a.filterSleep(cand, id, nil)
-		}
 		undo := a.step(id)
-		ok, err := a.canComplete(budget, depth+1, childSleep)
+		ok, err := a.canComplete(budget, depth+1)
 		a.unstep(id, undo)
 		if err != nil {
-			searchErr = err
-			break
+			return false, err
 		}
 		if ok {
 			result = true
 			break
 		}
-		skip |= pbit
-		cand |= pbit
-	}
-	if searchErr != nil {
-		return false, searchErr
 	}
 	if !a.opts.DisableMemo {
-		mask := unexplored // sleeping processes no pass has ever explored
-		if result {
-			mask = 0 // an existence verdict holds regardless of sleep sets
-		} else if a.symm {
-			mask = permuteMask(mask, perm)
-		}
-		a.memoComplete.StoreAux(key, result, mask)
+		a.memoComplete.Store(key, result)
 	}
 	return result, nil
 }

@@ -141,21 +141,12 @@ func (a *Analyzer) updateFlags(q *pairQuery, flags byte, id int32) byte {
 // depth indexes the per-depth scratch arenas (see canComplete): the node's
 // key — with the monitor flags as the extra discriminator — is derived
 // once into this frame's slot and survives recursion for the memo store.
-//
-// sleep is the sleep-set process mask threaded exactly as in canComplete
-// (root callers pass 0; per-query memo entries carry the same
-// never-explored aux masks with the same reuse and re-exploration rules),
-// with one extra twist: the node identity is (state, flags), so commuting
-// two actions must preserve the flags too. filterSleep therefore treats the
-// query's four boundary actions as visible — dependent with everything —
-// which keeps flag evolution invariant under the commutations POR exploits.
 // At a +1 (committed) node the flags cannot influence acceptance anymore,
-// the monitored graph degenerates to the plain completion graph, and the
-// inherited sleep set carries over into canComplete unchanged.
-func (a *Analyzer) existsAccepted(q *pairQuery, flags byte, memo *statetab.Table, budget *int64, depth int, sleep uint64) (bool, error) {
+// so the monitored search degenerates to the plain completion search.
+func (a *Analyzer) existsAccepted(q *pairQuery, flags byte, memo *statetab.Table, budget *int64, depth int) (bool, error) {
 	switch classifyFlags(q, flags, a.settableMask(q)) {
 	case +1:
-		return a.canComplete(budget, depth, sleep)
+		return a.canComplete(budget, depth)
 	case -1:
 		return false, nil
 	}
@@ -165,71 +156,34 @@ func (a *Analyzer) existsAccepted(q *pairQuery, flags byte, memo *statetab.Table
 		return q.accept(flags), nil
 	}
 	var key []uint64
-	var oldMask uint64
-	reexplore := false
 	if !a.opts.DisableMemo {
 		key = a.keySlot(depth)
 		a.packKey(flags, key)
-		if v, aux, ok := memo.LookupAux(key); ok {
-			if v || aux&^sleep == 0 {
-				a.stats.MemoHits++
-				return v, nil
-			}
-			oldMask = aux
-			reexplore = true
+		if v, ok := memo.Lookup(key); ok {
+			a.stats.MemoHits++
+			return v, nil
 		}
 	}
 	if err := a.budgetCharge(budget); err != nil {
 		return false, err
 	}
-	enabled := a.appendEnabled(a.enabledSlot(depth))
-	var skip, cand, unexplored uint64
-	if a.por {
-		em := a.enabledProcMask(enabled)
-		skip = sleep & em
-		cand = skip
-		unexplored = skip
-		if reexplore {
-			skip |= em &^ oldMask
-			unexplored &= oldMask
-		}
-	}
 	result := false
-	var searchErr error
-	for _, id := range enabled {
-		pbit := uint64(1) << uint(a.acts[id].proc)
-		if skip&pbit != 0 {
-			continue
-		}
+	for _, id := range a.appendEnabled(a.enabledSlot(depth)) {
 		a.stats.Edges++
-		var childSleep uint64
-		if a.por {
-			childSleep = a.filterSleep(cand, id, q)
-		}
 		nf := a.updateFlags(q, flags, id)
 		undo := a.step(id)
-		ok, err := a.existsAccepted(q, nf, memo, budget, depth+1, childSleep)
+		ok, err := a.existsAccepted(q, nf, memo, budget, depth+1)
 		a.unstep(id, undo)
 		if err != nil {
-			searchErr = err
-			break
+			return false, err
 		}
 		if ok {
 			result = true
 			break
 		}
-		skip |= pbit
-		cand |= pbit
-	}
-	if searchErr != nil {
-		return false, searchErr
 	}
 	if !a.opts.DisableMemo {
-		mask := unexplored
-		if result {
-			mask = 0
-		}
-		memo.StoreAux(key, result, mask)
+		memo.Store(key, result)
 	}
 	return result, nil
 }
@@ -269,7 +223,7 @@ func (a *Analyzer) searchExists(q *pairQuery) (bool, error) {
 	a.resetState()
 	budget := a.opts.MaxNodes
 	memo := statetab.New(a.keyWords, 0)
-	return a.existsAccepted(q, 0, memo, &budget, 0, 0)
+	return a.existsAccepted(q, 0, memo, &budget, 0)
 }
 
 // relAccept returns the interval-flag acceptance predicate for kind's

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"eventorder/internal/model"
@@ -201,8 +203,8 @@ func TestResumeRejectsSymmMismatch(t *testing.T) {
 		MatrixOpts{Resume: first.Checkpoint, DisableSymm: true}); err == nil {
 		t.Error("symm-on checkpoint accepted with MatrixOpts.DisableSymm")
 	}
-	// The reverse direction inherits like POR: a symm-off checkpoint
-	// resumed on a symm-capable analyzer stays off and completes.
+	// The reverse direction inherits: a symm-off checkpoint resumed on a
+	// symm-capable analyzer stays off and completes.
 	firstOff, err := mustAnalyzer(t, x, Options{DisableSymm: true}).Matrix(context.Background(), nil, MatrixOpts{Budget: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -242,36 +244,101 @@ func testdataTraces(t *testing.T) []string {
 	return names
 }
 
-// TestResumeIdentityPOROff runs the gate with the reduction disabled: the
-// checkpoint pins the POR setting, and the plain exploration must resume
-// just as deterministically.
+// TestResumeIdentityPOROff: the deprecated DisablePOR knobs are ignored.
+// A run with both set cuts the same checkpoint as a default run, and that
+// checkpoint resumes on a default analyzer bit-identically to a one-shot
+// run.
 func TestResumeIdentityPOROff(t *testing.T) {
 	x := loadTrace(t, "barrier.evo")
-	a := mustAnalyzer(t, x, Options{DisablePOR: true})
-	oneShot, err := a.Matrix(context.Background(), nil, MatrixOpts{})
+	oneShot, err := mustAnalyzer(t, x, Options{}).Matrix(context.Background(), nil, MatrixOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	budget := oneShot.Expanded / 3
 	first, err := mustAnalyzer(t, x, Options{DisablePOR: true}).Matrix(context.Background(), nil,
-		MatrixOpts{Budget: oneShot.Expanded / 3})
+		MatrixOpts{Budget: budget, DisablePOR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Complete {
-		t.Skip("third-budget run completed; nothing to resume")
+		t.Fatal("third-budget run completed; nothing to resume")
 	}
-	if !first.Checkpoint.POR {
-		// DisablePOR analyzers checkpoint POR=false; a resume on a
-		// POR-capable analyzer must keep it off.
-		full := resumeToCompletion(t, x, first, Options{}, MatrixOpts{})
-		for _, kind := range AllRelKinds {
-			if !full.Relations[kind].Equal(oneShot.Relations[kind]) {
-				t.Errorf("%s: resumed (POR pinned off) differs from one-shot", kind)
-			}
+	plain, err := mustAnalyzer(t, x, Options{}).Matrix(context.Background(), nil, MatrixOpts{Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := first.Checkpoint.EncodeString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Checkpoint.EncodeString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Error("DisablePOR run cut a different checkpoint than a default run")
+	}
+	full := resumeToCompletion(t, x, first, Options{}, MatrixOpts{})
+	for _, kind := range AllRelKinds {
+		if !full.Relations[kind].Equal(oneShot.Relations[kind]) {
+			t.Errorf("%s: resumed differs from one-shot", kind)
 		}
-		return
 	}
-	t.Fatal("DisablePOR run checkpointed POR=true")
+}
+
+// TestResumeIdentityLegacyPORCheckpoint resumes a checkpoint that a build
+// with sleep-set reduction cut mid-forward-sweep on burst.evo
+// (testdata/burst_por_forward.ckpt, committed as EncodeString output).
+// Its States carry per-state sleep masks in their aux words, and gob
+// skips its POR flag. Resumed to completion it must be bit-identical to a
+// one-shot Matrix, and the memo it hands over must answer per-pair
+// queries exactly.
+func TestResumeIdentityLegacyPORCheckpoint(t *testing.T) {
+	x := loadTrace(t, "burst.evo")
+	enc, err := os.ReadFile(filepath.Join("testdata", "burst_por_forward.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := DecodeCheckpointString(strings.TrimSpace(string(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt.Phase != ckPhaseForward {
+		t.Fatalf("legacy checkpoint phase %d, want forward", ckpt.Phase)
+	}
+	masks := 0
+	for _, w := range ckpt.States.Aux {
+		if w != 0 {
+			masks++
+		}
+	}
+	if masks == 0 {
+		t.Fatal("legacy checkpoint carries no sleep masks; it no longer tests their removal")
+	}
+	oneShot, err := mustAnalyzer(t, x, Options{}).Matrix(context.Background(), nil, MatrixOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustAnalyzer(t, x, Options{})
+	res, err := a.Matrix(context.Background(), nil, MatrixOpts{Resume: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete {
+		t.Fatalf("unbudgeted resume stopped early: %v", res.Cause)
+	}
+	warm, err := a.AllRelations(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range AllRelKinds {
+		if !res.Relations[kind].Equal(oneShot.Relations[kind]) {
+			t.Errorf("%s: resumed legacy checkpoint differs from one-shot", kind)
+		}
+		if !warm[kind].Equal(oneShot.Relations[kind]) {
+			t.Errorf("%s: per-pair after the legacy resume differs from one-shot", kind)
+		}
+	}
 }
 
 // TestResumeRejectsMismatchedExecution: a checkpoint carries a fingerprint

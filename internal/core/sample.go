@@ -102,7 +102,7 @@ func (a *Analyzer) SampleRelations(samples int, seed int64) (*SampleResult, erro
 // per-step completability probes amortize across samples.
 func (a *Analyzer) sampleWalk(rng *rand.Rand, pos []int, budget *int64) error {
 	a.resetState()
-	can, err := a.canComplete(budget, 0, 0)
+	can, err := a.canComplete(budget, 0)
 	if err != nil {
 		return err
 	}
@@ -118,7 +118,7 @@ func (a *Analyzer) sampleWalk(rng *rand.Rand, pos []int, budget *int64) error {
 		advanced := false
 		for _, id := range enabled {
 			undo := a.step(id)
-			can, err := a.canComplete(budget, 0, 0)
+			can, err := a.canComplete(budget, 0)
 			if err != nil {
 				a.unstep(id, undo)
 				return err

@@ -17,7 +17,7 @@ var ErrTruncated = errors.New("core: schedule enumeration truncated at limit")
 func (a *Analyzer) CanComplete() (bool, error) {
 	a.resetState()
 	budget := a.opts.MaxNodes
-	return a.canComplete(&budget, 0, 0)
+	return a.canComplete(&budget, 0)
 }
 
 // FindSchedule returns one complete valid interleaving as an op-level order
@@ -28,7 +28,7 @@ func (a *Analyzer) CanComplete() (bool, error) {
 func (a *Analyzer) FindSchedule() (order []model.OpID, ok bool, err error) {
 	a.resetState()
 	budget := a.opts.MaxNodes
-	can, err := a.canComplete(&budget, 0, 0)
+	can, err := a.canComplete(&budget, 0)
 	if err != nil {
 		return nil, false, err
 	}
@@ -43,7 +43,7 @@ func (a *Analyzer) FindSchedule() (order []model.OpID, ok bool, err error) {
 		advanced := false
 		for _, id := range a.walkEnabled {
 			undo := a.step(id)
-			can, err := a.canComplete(&budget, 0, 0)
+			can, err := a.canComplete(&budget, 0)
 			if err != nil {
 				a.unstep(id, undo)
 				return nil, false, err

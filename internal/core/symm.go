@@ -1,7 +1,5 @@
 package core
 
-import "math/bits"
-
 // Symmetry reduction over packed state keys. internal/symm proves classes
 // of interchangeable processes; this file maps any packed state to the
 // lexicographically-least member of its orbit under the proven group. Two
@@ -14,60 +12,36 @@ import "math/bits"
 //     is reached by independently sorting each class's pc values ascending
 //     (pc fields are packed ascending by process id from bit 0, so the
 //     ascending value order is the lexicographically-least packing).
-//
-// The witness permutation lets callers translate per-process bitmasks (POR
-// sleep masks, fold masks) between the original frame and the canonical one.
-
-// permSlot returns depth's witness-permutation scratch slot (len(pc)
-// entries), parallel to keySlot: a frame's witness must survive recursion
-// into child frames because the memo store after the child walk reuses it.
-func (a *Analyzer) permSlot(depth int) []int32 {
-	np := len(a.procActs)
-	return a.permArena[depth*np : (depth+1)*np]
-}
 
 // canonicalizeKey writes into dst the least orbit representative of the
-// packed state src and fills perm with the witnessing permutation:
-// perm[p] = the canonical-frame process whose pc field received original
-// process p's counter (identity outside the symmetry classes). Event bits
-// and the extra byte are fixed by the group and copied through. Reports
-// whether dst differs from src. src and dst must be distinct keyWords
-// slices; perm must have len(pc) entries.
-//
-// Ties (equal pc values within a class) keep ascending process id, making
-// the result deterministic; any tie-break is sound because equal values
-// are interchangeable by a further automorphism.
-func (a *Analyzer) canonicalizeKey(src, dst []uint64, perm []int32) bool {
+// packed state src. Event bits and the extra byte are fixed by the group
+// and copied through. Reports whether dst differs from src. src and dst
+// must be distinct keyWords slices.
+func (a *Analyzer) canonicalizeKey(src, dst []uint64) bool {
 	copy(dst, src)
-	for p := range perm {
-		perm[p] = int32(p)
-	}
 	changed := false
 	pb := a.pcBits
 	for _, class := range a.symmClasses {
-		k := len(class)
-		vals := a.symmVals[:k]
-		idx := a.symmIdx[:k]
+		vals := a.symmVals[:len(class)]
 		for i, p := range class {
 			vals[i] = int32(readBits(src, uint(p)*pb, pb))
-			idx[i] = int32(i)
 		}
-		// Stable insertion sort by pc value (classes are small).
-		for i := 1; i < k; i++ {
-			v, ix := vals[i], idx[i]
+		// Insertion sort by pc value (classes are small). A value moves only
+		// past a strictly larger one, so any move changes the packing.
+		for i := 1; i < len(vals); i++ {
+			v := vals[i]
 			j := i
 			for j > 0 && vals[j-1] > v {
-				vals[j], idx[j] = vals[j-1], idx[j-1]
+				vals[j] = vals[j-1]
 				j--
 			}
-			vals[j], idx[j] = v, ix
-		}
-		for r := 0; r < k; r++ {
-			if idx[r] != int32(r) {
+			if j != i {
+				vals[j] = v
 				changed = true
 			}
-			perm[class[idx[r]]] = class[r]
-			writeBits(dst, uint(class[r])*pb, pb, uint64(vals[r]))
+		}
+		for r, p := range class {
+			writeBits(dst, uint(p)*pb, pb, uint64(vals[r]))
 		}
 	}
 	return changed
@@ -85,29 +59,4 @@ func writeBits(key []uint64, bit, width uint, v uint64) {
 		hiMask := uint64(1)<<hi - 1
 		key[w+1] = key[w+1]&^hiMask | v>>(64-off)
 	}
-}
-
-// permuteMask maps a per-process bitmask into the canonical frame through
-// a witness permutation: bit p moves to bit perm[p].
-func permuteMask(mask uint64, perm []int32) uint64 {
-	var out uint64
-	for m := mask; m != 0; m &= m - 1 {
-		out |= 1 << uint(perm[bits.TrailingZeros64(m)])
-	}
-	return out
-}
-
-// unpermuteMask maps a canonical-frame bitmask back to the original frame
-// (the inverse of permuteMask for the same witness).
-func unpermuteMask(mask uint64, perm []int32) uint64 {
-	if mask == 0 {
-		return 0
-	}
-	var out uint64
-	for p, q := range perm {
-		if mask&(1<<uint(q)) != 0 {
-			out |= 1 << uint(p)
-		}
-	}
-	return out
 }

@@ -195,7 +195,7 @@ func (a *Analyzer) completePath(budget *int64, path *[]int32) (bool, error) {
 	// canComplete is rooted at len(*path): the witnessSearch frames below
 	// this depth keep their arena slots intact for their negative-memo
 	// stores on the failure path.
-	can, err := a.canComplete(budget, len(*path), 0)
+	can, err := a.canComplete(budget, len(*path))
 	if err != nil || !can {
 		return false, err
 	}
@@ -209,7 +209,7 @@ func (a *Analyzer) completePath(budget *int64, path *[]int32) (bool, error) {
 		advanced := false
 		for _, id := range a.walkEnabled {
 			undo := a.step(id)
-			can, err := a.canComplete(budget, len(*path)+1, 0)
+			can, err := a.canComplete(budget, len(*path)+1)
 			if err != nil {
 				a.unstep(id, undo)
 				return false, err

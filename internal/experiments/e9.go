@@ -91,7 +91,7 @@ func runE9(cfg Config) error {
 		symOK := in.CanComplete()
 		symTime := time.Since(start)
 
-		a, err := core.NewUnscheduled(x, core.Options{})
+		a, err := core.NewUnscheduled(x, core.Options{DisableSymm: true})
 		if err != nil {
 			return err
 		}

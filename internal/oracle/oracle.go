@@ -1,12 +1,13 @@
 // Package oracle is the differential test harness that cross-validates
 // every engine the repository ships for the same question: brute-force
 // enumeration of all feasible interleavings, the per-pair memoized search
-// (with and without sleep-set reduction), the batch matrix engine (with
-// and without reduction, and the per-pair engine answering from the memo a
-// complete batch run leaves behind), and the tiered polynomial planner
-// (every cascade depth's fact bracket, plus the fully planned matrix) must
-// produce identical relation verdicts on every execution, and every
-// witness schedule the engines emit must replay and exhibit its claim.
+// (with and without process-symmetry reduction), the batch matrix engine
+// (with and without symmetry, and the per-pair engine answering from the
+// memo a complete batch run leaves behind), and the tiered polynomial
+// planner (every cascade depth's fact bracket, plus the fully planned
+// matrix with and without symmetry) must produce identical relation
+// verdicts on every execution, and every witness schedule the engines
+// emit must replay and exhibit its claim.
 // Check runs the comparison; Verify additionally minimizes a failing
 // execution with a seeded shrinker (greedily dropping processes and events
 // while the disagreement persists) so a randomized-test failure arrives
@@ -60,10 +61,9 @@ func Check(x *model.Execution, cfg Config) error {
 	cfg = cfg.withDefaults()
 	opts := core.Options{IgnoreData: cfg.IgnoreData, MaxNodes: cfg.MaxNodes}
 
-	// Reference: the per-pair search with every reduction disabled — the
-	// oldest, most directly paper-shaped decision procedure.
+	// Reference: the per-pair search with symmetry reduction disabled —
+	// the oldest, most directly paper-shaped decision procedure.
 	refOpts := opts
-	refOpts.DisablePOR = true
 	refOpts.DisableSymm = true
 	ref, err := allRelations(x, refOpts)
 	if err != nil {
@@ -84,58 +84,41 @@ func Check(x *model.Execution, cfg Config) error {
 		}
 	}
 
-	// Per-pair engine at every reduction combination the reference does
-	// not already cover: POR alone, symmetry alone, both composed.
-	perPairVariants := []struct {
-		name            string
-		disPOR, disSymm bool
-	}{
-		{"per-pair POR", false, true},
-		{"per-pair symm", true, false},
-		{"per-pair POR+symm", false, false},
+	// Per-pair engine with symmetry reduction.
+	got, err := allRelations(x, opts)
+	if err != nil {
+		return fmt.Errorf("oracle: per-pair symm engine: %w", err)
 	}
-	for _, v := range perPairVariants {
-		o := opts
-		o.DisablePOR = v.disPOR
-		o.DisableSymm = v.disSymm
-		got, err := allRelations(x, o)
-		if err != nil {
-			return fmt.Errorf("oracle: %s engine: %w", v.name, err)
-		}
-		if err := compare(v.name, x, got, ref); err != nil {
-			return err
-		}
+	if err := compare("per-pair symm", x, got, ref); err != nil {
+		return err
 	}
 
-	// Batch engine at every reduction combination. A complete run leaves
-	// its state table behind as the analyzer's completion memo, so the
+	// Batch engine with symmetry on and off. A complete run leaves its
+	// state table behind as the analyzer's completion memo, so the
 	// per-pair engine then answers every query on that same analyzer,
 	// starting warm from the memo the batch handed over.
-	for _, disablePOR := range []bool{false, true} {
-		for _, disableSymm := range []bool{false, true} {
-			a, err := core.New(x, opts)
-			if err != nil {
-				return fmt.Errorf("oracle: analyzer: %w", err)
-			}
-			m, err := a.Matrix(context.Background(), nil,
-				core.MatrixOpts{DisablePOR: disablePOR, DisableSymm: disableSymm})
-			tag := fmt.Sprintf("Matrix(disablePOR=%v, disableSymm=%v)", disablePOR, disableSymm)
-			if err != nil {
-				return fmt.Errorf("oracle: %s: %w", tag, err)
-			}
-			if !m.Complete {
-				return fmt.Errorf("oracle: %s returned a partial result with no interrupt", tag)
-			}
-			if err := compare(tag, x, m.Relations, ref); err != nil {
-				return err
-			}
-			warm, err := a.AllRelations(context.Background())
-			if err != nil {
-				return fmt.Errorf("oracle: per-pair after %s: %w", tag, err)
-			}
-			if err := compare("per-pair after "+tag, x, warm, ref); err != nil {
-				return err
-			}
+	for _, disableSymm := range []bool{false, true} {
+		a, err := core.New(x, opts)
+		if err != nil {
+			return fmt.Errorf("oracle: analyzer: %w", err)
+		}
+		m, err := a.Matrix(context.Background(), nil, core.MatrixOpts{DisableSymm: disableSymm})
+		tag := fmt.Sprintf("Matrix(disableSymm=%v)", disableSymm)
+		if err != nil {
+			return fmt.Errorf("oracle: %s: %w", tag, err)
+		}
+		if !m.Complete {
+			return fmt.Errorf("oracle: %s returned a partial result with no interrupt", tag)
+		}
+		if err := compare(tag, x, m.Relations, ref); err != nil {
+			return err
+		}
+		warm, err := a.AllRelations(context.Background())
+		if err != nil {
+			return fmt.Errorf("oracle: per-pair after %s: %w", tag, err)
+		}
+		if err := compare("per-pair after "+tag, x, warm, ref); err != nil {
+			return err
 		}
 	}
 
@@ -196,21 +179,18 @@ func checkPlanner(x *model.Execution, opts core.Options, ref map[core.RelKind]*m
 			}
 		}
 	}
-	// The fully planned Matrix must be bit-identical to the reference at
-	// every reduction combination (planner seeding × POR × symmetry).
-	for _, disablePOR := range []bool{false, true} {
-		for _, disableSymm := range []bool{false, true} {
-			copts := opts
-			copts.DisablePOR = copts.DisablePOR || disablePOR
-			copts.DisableSymm = copts.DisableSymm || disableSymm
-			res, err := plan.Analyze(context.Background(), x, nil, copts, core.MatrixOpts{})
-			if err != nil {
-				return fmt.Errorf("oracle: plan.Analyze(disablePOR=%v, disableSymm=%v): %w", disablePOR, disableSymm, err)
-			}
-			tag := fmt.Sprintf("planned Matrix(disablePOR=%v, disableSymm=%v)", disablePOR, disableSymm)
-			if err := compare(tag, x, res.Relations, ref); err != nil {
-				return err
-			}
+	// The fully planned Matrix must be bit-identical to the reference with
+	// symmetry on and off.
+	for _, disableSymm := range []bool{false, true} {
+		copts := opts
+		copts.DisableSymm = disableSymm
+		res, err := plan.Analyze(context.Background(), x, nil, copts, core.MatrixOpts{})
+		if err != nil {
+			return fmt.Errorf("oracle: plan.Analyze(disableSymm=%v): %w", disableSymm, err)
+		}
+		tag := fmt.Sprintf("planned Matrix(disableSymm=%v)", disableSymm)
+		if err := compare(tag, x, res.Relations, ref); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -86,9 +86,9 @@ func TestIngestAllocs(t *testing.T) {
 }
 
 // pairRequestAllocBound bounds TestPairRequestAllocs: the count measured
-// with Go 1.24 (362) plus a little headroom. When a synchronous request
+// with Go 1.24 (350) plus a little headroom. When a synchronous request
 // still logged a second line for its job, the count was 389.
-const pairRequestAllocBound = 375
+const pairRequestAllocBound = 363
 
 // TestPairRequestAllocs bounds the allocations of a whole synchronous pair
 // request through the handler: decode, resolve, the pair search, encode

@@ -75,7 +75,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 						got.Grows, got.Capacity, want.Capacity)
 				}
 				for _, e := range ref {
-					val, aux, ok := dst.LookupAux(e.key)
+					val, aux, ok := lookupAux(dst, e.key)
 					if !ok || val != e.val || aux != e.aux {
 						t.Fatalf("entry %v: got (%v, %d, %v), want (%v, %d, present)",
 							e.key, val, aux, ok, e.val, e.aux)
@@ -91,7 +91,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					t.Fatalf("round trip holds %d entries, want %d", back.Len(), len(ref))
 				}
 				for _, e := range ref {
-					val, aux, ok := back.LookupAux(e.key)
+					val, aux, ok := lookupAux(back, e.key)
 					if !ok || val != e.val || aux != e.aux {
 						t.Fatalf("round trip entry %v: got (%v, %d, %v)", e.key, val, aux, ok)
 					}

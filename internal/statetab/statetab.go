@@ -167,29 +167,6 @@ func (t *Table) Intern(key []uint64) (fresh bool) {
 	return true
 }
 
-// LookupAux returns the value and auxiliary word stored for key, and whether
-// the key is present. Entries written without an aux word read as aux 0.
-// It never allocates.
-func (t *Table) LookupAux(key []uint64) (value bool, aux uint64, ok bool) {
-	if t.n == 0 {
-		return false, 0, false
-	}
-	i := hash(key) & t.mask
-	for {
-		v := t.vals[i]
-		if v == 0 {
-			return false, 0, false
-		}
-		if t.keyEqual(i, key) {
-			if t.aux != nil {
-				aux = t.aux[i]
-			}
-			return v&slotValue != 0, aux, true
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
 // StoreAux sets key's value and auxiliary word, inserting the key if
 // absent. The aux array is allocated lazily on the first nonzero aux, so
 // tables that never store one pay nothing for it.
@@ -205,23 +182,6 @@ func (t *Table) StoreAux(key []uint64, value bool, aux uint64) {
 		t.vals[i] = v
 	}
 	t.setAux(i, aux)
-}
-
-// InternAux inserts key with value false and the given auxiliary word if
-// absent (reporting fresh=true), or AND-merges aux into the existing
-// entry's word. The AND is the natural combine for sleep-set masks: a state
-// reachable along several paths may only sleep what every path permits.
-func (t *Table) InternAux(key []uint64, aux uint64) (fresh bool) {
-	i, found := t.probe(key)
-	if found {
-		if t.aux != nil {
-			t.aux[i] &= aux
-		}
-		return false
-	}
-	i = t.insertAt(i, key, slotUsed)
-	t.setAux(i, aux)
-	return true
 }
 
 // InternAuxOr inserts key with value false and the given auxiliary word if
@@ -243,10 +203,6 @@ func (t *Table) InternAuxOr(key []uint64, aux uint64) (fresh bool, old uint64) {
 	t.setAux(i, aux)
 	return true, 0
 }
-
-// ClearAux sets every entry's auxiliary word to zero, releasing the aux
-// array; keys and values stay.
-func (t *Table) ClearAux() { t.aux = nil }
 
 // setAux writes slot i's auxiliary word, allocating the aux array on the
 // first nonzero write (a nil array reads as all-zero).
@@ -386,19 +342,12 @@ func (s *Snapshot) Key(i int) []uint64 { return s.Keys[i*s.Words : (i+1)*s.Words
 // Val returns entry i's value bit.
 func (s *Snapshot) Val(i int) bool { return s.val(i) }
 
-// AuxAt returns entry i's auxiliary word (0 when none were captured).
-func (s *Snapshot) AuxAt(i int) uint64 {
-	if s.Aux == nil {
-		return 0
-	}
-	return s.Aux[i]
-}
-
-// Append adds one entry to a snapshot being built entry by entry (e.g. a
-// filtered copy of an export). It must only be used on snapshots whose
-// every entry was added through Append — mixing it with an exporter's
-// preallocated layout is undefined. key must be Words words long.
-func (s *Snapshot) Append(key []uint64, value bool, aux uint64) {
+// Append adds one entry, without an auxiliary word, to a snapshot being
+// built entry by entry (e.g. a filtered copy of an export). It must only
+// be used on snapshots whose every entry was added through Append —
+// mixing it with an exporter's preallocated layout is undefined. key must
+// be Words words long.
+func (s *Snapshot) Append(key []uint64, value bool) {
 	s.Keys = append(s.Keys, key...)
 	if s.Entries%64 == 0 {
 		s.Vals = append(s.Vals, 0)
@@ -406,7 +355,6 @@ func (s *Snapshot) Append(key []uint64, value bool, aux uint64) {
 	if value {
 		s.setVal(s.Entries)
 	}
-	s.Aux = append(s.Aux, aux)
 	s.Entries++
 }
 

@@ -163,9 +163,23 @@ func TestZeroAllocOperations(t *testing.T) {
 	}
 }
 
+// lookupAux reads key's value and auxiliary word straight from the table's
+// arrays, without the merge InternAuxOr performs.
+func lookupAux(t *Table, key []uint64) (value bool, aux uint64, ok bool) {
+	value, ok = t.Lookup(key)
+	if !ok || t.aux == nil {
+		return value, 0, ok
+	}
+	i := hash(key) & t.mask
+	for !t.keyEqual(i, key) {
+		i = (i + 1) & t.mask
+	}
+	return value, t.aux[i], true
+}
+
 // TestAuxMatchesBuiltinMap drives the aux-word API and a reference map of
 // (value, aux) pairs through the same randomized sequence — StoreAux,
-// InternAux (AND-merge), plain Store/Intern interleaved — and requires
+// InternAuxOr (OR-merge), plain Store interleaved — and requires
 // identical observable state throughout, across several growths so aux
 // words provably survive rehashing.
 func TestAuxMatchesBuiltinMap(t *testing.T) {
@@ -194,17 +208,14 @@ func TestAuxMatchesBuiltinMap(t *testing.T) {
 					tab.StoreAux(key, v, aux)
 					ref[sk] = entry{v, aux}
 				case 1:
-					aux := rng.Uint64()
-					fresh := tab.InternAux(key, aux)
+					aux := rng.Uint64() & rng.Uint64() // sparse, so OR-merges leave zero bits
+					fresh, old := tab.InternAuxOr(key, aux)
 					e, had := ref[sk]
-					if fresh == had {
-						t.Fatalf("op %d: InternAux fresh=%v, map had=%v", op, fresh, had)
+					if fresh == had || old != e.aux {
+						t.Fatalf("op %d: InternAuxOr = (fresh %v, old %#x), map = (had %v, aux %#x)",
+							op, fresh, old, had, e.aux)
 					}
-					if had {
-						ref[sk] = entry{e.val, e.aux & aux}
-					} else {
-						ref[sk] = entry{false, aux}
-					}
+					ref[sk] = entry{e.val, e.aux | aux}
 				case 2:
 					// Plain Store must preserve the aux word.
 					v := rng.Intn(2) == 0
@@ -212,19 +223,19 @@ func TestAuxMatchesBuiltinMap(t *testing.T) {
 					e := ref[sk] // zero value for fresh keys: aux 0
 					ref[sk] = entry{v, e.aux}
 				default:
-					v, aux, ok := tab.LookupAux(key)
+					v, aux, ok := lookupAux(tab, key)
 					e, had := ref[sk]
 					if ok != had || (ok && (v != e.val || aux != e.aux)) {
-						t.Fatalf("op %d: LookupAux(%v) = (%v,%#x,%v), map = (%v,%#x,%v)",
+						t.Fatalf("op %d: lookupAux(%v) = (%v,%#x,%v), map = (%v,%#x,%v)",
 							op, key, v, aux, ok, e.val, e.aux, had)
 					}
 				}
 			}
 			for _, key := range keys {
 				e, had := ref[mapKey(key)]
-				v, aux, ok := tab.LookupAux(key)
+				v, aux, ok := lookupAux(tab, key)
 				if ok != had || (ok && (v != e.val || aux != e.aux)) {
-					t.Fatalf("sweep: LookupAux(%v) = (%v,%#x,%v), map = (%v,%#x,%v)",
+					t.Fatalf("sweep: lookupAux(%v) = (%v,%#x,%v), map = (%v,%#x,%v)",
 						key, v, aux, ok, e.val, e.aux, had)
 				}
 			}
@@ -237,15 +248,14 @@ func TestAuxMatchesBuiltinMap(t *testing.T) {
 
 // TestAuxLazyAllocation pins the cost model: a table whose aux words are
 // all zero must never allocate the aux array (its Bytes stay those of a
-// plain table), and LookupAux on such a table reads aux 0. ClearAux
-// returns a table with nonzero aux words to that state.
+// plain table), and such a table's entries read aux 0.
 func TestAuxLazyAllocation(t *testing.T) {
 	tab := New(2, 0)
 	plain := New(2, 0)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 4000; i++ {
 		k := randKey(rng, 2)
-		tab.InternAux(k, 0)
+		tab.InternAuxOr(k, 0)
 		tab.StoreAux(k, true, 0)
 		plain.Store(k, true)
 	}
@@ -254,25 +264,16 @@ func TestAuxLazyAllocation(t *testing.T) {
 	}
 	probe := randKey(rng, 2)
 	tab.Store(probe, false)
-	plain.Store(probe, false)
-	if _, aux, ok := tab.LookupAux(probe); !ok || aux != 0 {
-		t.Fatalf("LookupAux without aux array = (_, %#x, %v), want (_, 0, true)", aux, ok)
-	}
-
-	tab.StoreAux(probe, true, 7)
-	plain.Store(probe, true)
-	tab.ClearAux()
-	if tb, pb := tab.Stats().Bytes, plain.Stats().Bytes; tb != pb {
-		t.Fatalf("table holds %d bytes after ClearAux, plain table %d", tb, pb)
-	}
-	if v, aux, ok := tab.LookupAux(probe); !ok || !v || aux != 0 {
-		t.Fatalf("LookupAux after ClearAux = (%v, %#x, %v), want (true, 0, true)", v, aux, ok)
+	if _, aux, ok := lookupAux(tab, probe); !ok || aux != 0 {
+		t.Fatalf("lookupAux without aux array = (_, %#x, %v), want (_, 0, true)", aux, ok)
 	}
 }
 
-// TestLookupAuxZeroAlloc gates the POR memo's hot path: LookupAux must be
+// TestInternAuxOrZeroAlloc gates the symmetry fold's hot path: the batch
+// engine's backward sweep merges a fold mask into pcSeen for every
+// completable state, so InternAuxOr on present keys must be
 // allocation-free exactly like Lookup.
-func TestLookupAuxZeroAlloc(t *testing.T) {
+func TestInternAuxOrZeroAlloc(t *testing.T) {
 	tab := New(2, 1024)
 	rng := rand.New(rand.NewSource(13))
 	keys := make([][]uint64, 512)
@@ -282,10 +283,10 @@ func TestLookupAuxZeroAlloc(t *testing.T) {
 	}
 	i := 0
 	if avg := testing.AllocsPerRun(1000, func() {
-		tab.LookupAux(keys[i%len(keys)])
+		tab.InternAuxOr(keys[i%len(keys)], 1<<uint(i%64))
 		i++
 	}); avg != 0 {
-		t.Fatalf("LookupAux allocates %v/op", avg)
+		t.Fatalf("InternAuxOr allocates %v/op", avg)
 	}
 }
 

@@ -179,25 +179,29 @@ func TestSymmStatsCounters(t *testing.T) {
 }
 
 // TestPerPairSymmIdentity: the canComplete memo integration — per-pair
-// verdicts with the canonical-key memo equal the raw-key engine's.
+// verdicts with the canonical-key memo equal the raw-key engine's. The
+// deprecated DisablePOR knob is set both ways on the symmetric analyzer:
+// it is ignored, so both runs must match the same raw-key reference.
 func TestPerPairSymmIdentity(t *testing.T) {
 	for _, name := range []string{"barrier6.evo", "symring.evo", "barrier.evo", "nearsym.evo"} {
-		t.Run(name, func(t *testing.T) {
-			x := loadTrace(t, name)
-			ref, err := mustAnalyzer(t, x, Options{DisableSymm: true}).AllRelations(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := mustAnalyzer(t, x, Options{}).AllRelations(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, kind := range AllRelKinds {
-				if !got[kind].Equal(ref[kind]) {
-					t.Errorf("%s differs under symmetry", kind)
+		for _, noPOR := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s noPOR=%v", name, noPOR), func(t *testing.T) {
+				x := loadTrace(t, name)
+				ref, err := mustAnalyzer(t, x, Options{DisableSymm: true}).AllRelations(context.Background())
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				got, err := mustAnalyzer(t, x, Options{DisablePOR: noPOR}).AllRelations(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, kind := range AllRelKinds {
+					if !got[kind].Equal(ref[kind]) {
+						t.Errorf("%s differs under symmetry", kind)
+					}
+				}
+			})
+		}
 	}
 }
 

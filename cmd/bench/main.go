@@ -85,8 +85,8 @@ type caseResult struct {
 	MatrixMS float64 `json:"matrix_ms"`
 	// MatrixNodes is the distinct states the batch engine expanded.
 	MatrixNodes int64 `json:"matrix_nodes"`
-	// MatrixEdges is the successor transitions the batch engine's forward
-	// sweep explored.
+	// MatrixEdges is the successor transitions of the states the batch
+	// engine expanded.
 	MatrixEdges int64 `json:"explored_edges"`
 	// MatrixNodesNoSymm is MatrixNodes with process-symmetry orbit
 	// collapsing disabled — the full state count the orbit-canonical
@@ -463,7 +463,7 @@ func measurePlan(c benchCase, res *caseResult, reps int) error {
 // is run with a state budget of 1/4 and 1/2 of the full run's
 // expanded-state count, and the partial result's decided-pair fraction is
 // recorded (completed runs — possible on tiny state spaces where a
-// quarter budget still finishes the sweeps — record 1).
+// quarter budget still finishes the search — record 1).
 func measureAnytime(c benchCase, res *caseResult) error {
 	run := func(budget int64) (float64, error) {
 		if budget < 1 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -56,6 +57,34 @@ func TestColdSearchArenaReuse(t *testing.T) {
 	})
 	if limit := float64(nodes) / 4; avg > limit {
 		t.Fatalf("cold search allocates %v/run over %d nodes (limit %v): per-node allocation is back", avg, nodes, limit)
+	}
+}
+
+// TestMatrixAllocs bounds the allocations of a fresh matrix: core.New
+// plus a Matrix of all six relations, on a small and a large testdata
+// program. The bounds are the counts measured with Go 1.24 (140 and 363)
+// plus a little headroom. The pass allocates per table growth and per
+// result, not per state, so burst.evo's 6,560 states cost fewer than 0.06
+// allocations each.
+func TestMatrixAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		bound float64
+	}{{"handshake.evo", 145}, {"burst.evo", 375}} {
+		x := loadTrace(t, c.name)
+		allocs := testing.AllocsPerRun(20, func() {
+			a, err := New(x, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Matrix(context.Background(), nil, MatrixOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: core.New plus Matrix made %.0f allocations", c.name, allocs)
+		if allocs > c.bound {
+			t.Errorf("%s: core.New plus Matrix made %.0f allocations, bound %.0f", c.name, allocs, c.bound)
+		}
 	}
 }
 

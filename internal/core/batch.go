@@ -39,15 +39,16 @@ import (
 // event whenever its action fires inside that event's interval. Those
 // overlaps are facts of DAG edges, not states: when a sync action leads
 // from a completable state to a completable state, its event overlaps
-// every event in progress there. The backward sweep folds this edge rule
-// alongside the state rules. (Two atomic events can never overlap.)
+// every event in progress there. The pass folds this edge rule alongside
+// the state rules. (Two atomic events can never overlap.)
 //
-// The engine runs two level-synchronous sweeps over the state DAG — states
-// at level L have executed exactly L actions, so levels form a topological
-// order — a forward reachability pass and a backward completability pass,
-// then folds facts from every reachable-and-completable state into the two
-// matrices. Both sweeps run on the calling goroutine over one state table,
-// which a complete run hands to the analyzer as its completion memo.
+// The engine runs one post-order depth-first pass over the state DAG from
+// the initial state — canComplete's traversal without its early exit, over
+// the same memo keys. Each reachable state is entered once; when its last
+// child returns, its completability is final, so it is stored and, when
+// completable, its facts fold into the two matrices. The pass runs on the
+// calling goroutine over one state table, which a complete run hands to
+// the analyzer as its completion memo.
 
 // MatrixOpts configures Analyzer.Matrix (and the planning layers built on
 // it: plan.Analyze and the eventorder.AnalyzeMatrix facade).
@@ -57,14 +58,15 @@ type MatrixOpts struct {
 	// Deprecated: fan-out never paid at the trace sizes the engine accepts
 	// and was removed; the field remains so existing callers compile.
 	Workers int
-	// Budget bounds the number of distinct states expanded by the whole
-	// batch; 0 inherits Options.MaxNodes as the total-batch budget. The
-	// batch expands each reachable state once, so a total budget (not a
-	// per-query one) is the natural unit. When the budget runs out the
-	// analysis returns a partial MatrixResult carrying a Checkpoint; a
-	// resumed run charges the budget cumulatively (a budget of B names B
-	// total states across all attempts, give or take the re-run of the
-	// level the interrupt landed in).
+	// Budget bounds the number of states the whole batch finishes; 0
+	// inherits Options.MaxNodes as the total-batch budget. The pass
+	// finishes each reachable non-final state once, so a total budget (not
+	// a per-query one) is the natural unit. A state is charged when its
+	// last child returns: one an interrupt leaves open costs nothing and is
+	// entered again, free, on resume. When the budget runs out the analysis
+	// returns a partial MatrixResult carrying a Checkpoint; a resumed run
+	// charges the budget cumulatively (a budget of B names B finished
+	// states across all attempts).
 	Budget int64
 	// Tiers caps the polynomial planning cascade for the layers above the
 	// exact engine (plan.Analyze, eventorder.AnalyzeMatrix): 0 runs every
@@ -73,14 +75,14 @@ type MatrixOpts struct {
 	Tiers int
 	// DisablePOR is ignored, like Options.DisablePOR.
 	//
-	// Deprecated: sleep-set reduction was removed from the forward sweep;
+	// Deprecated: sleep-set reduction was removed from the batch engine;
 	// the field remains so existing callers compile.
 	DisablePOR bool
 	// DisableSymm turns off process-symmetry orbit collapsing for this
-	// batch's sweeps (it is also off whenever the analyzer's
+	// batch's pass (it is also off whenever the analyzer's
 	// Options.DisableSymm is set or no nontrivial group was detected).
-	// Matrices are bit-identical either way: the sweeps intern one
-	// canonical representative per orbit and fold facts for every orbit
+	// Matrices are bit-identical either way: the pass enters one
+	// canonical representative per orbit and folds facts for every orbit
 	// member through the inverse permutations. A resumed run inherits the
 	// checkpoint's setting — and refuses to resume a symmetry-reduced
 	// checkpoint (whose stored keys are canonical) with symmetry disabled.
@@ -103,10 +105,9 @@ type MatrixOpts struct {
 	// one-shot runs.
 	Resume *Checkpoint
 	// OnPhase, when non-nil, observes coarse span timings as the analysis
-	// runs: the batch engine reports "forward" (level-synchronous state
-	// expansion) and "backward" (completability sweep and fact folding)
-	// once each as the phase finishes — on an interrupted run, for the
-	// partial phase that was cut short. Layers above add their own spans
+	// runs: the batch engine reports "search" (the depth-first pass, fact
+	// folding included) once as the pass ends — on an interrupted run, for
+	// the part that ran. Layers above add their own spans
 	// through the same hook (plan.Analyze reports "plan"). The callback
 	// runs on the calling goroutine of Matrix and must be cheap; it is an
 	// observability hook and never alters verdicts.
@@ -238,8 +239,7 @@ func (m *MatrixResult) DecidedPairs() int {
 // Matrix computes relation matrices for kinds (nil or empty = all six)
 // from one shared exploration of the feasibility state space. Complete
 // verdicts are bit-identical to per-pair Relation calls; only the work
-// differs: the exponential space is walked a constant number of times
-// instead of O(n²) times. Options.DisableMemo does not change the
+// differs: the exponential space is walked once instead of O(n²) times. Options.DisableMemo does not change the
 // exploration (it IS the memo); it only keeps the finished state table
 // from becoming the analyzer's completion memo.
 //
@@ -288,8 +288,8 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 		seed = ckpt.seed()
 		// The checkpoint's stored state keys are orbit-canonical when it
 		// was cut from a symmetry-reduced run; resuming them without the
-		// canonicalizer would treat representatives as the whole frontier,
-		// so the mismatch is an error rather than a downgrade. A raw-key
+		// canonicalizer would treat representatives as the only finished
+		// states, so the mismatch is an error rather than a downgrade. A raw-key
 		// checkpoint resumes raw on any analyzer.
 		if ckpt.Symm && !sym {
 			return nil, badCheckpoint("checkpoint was cut from a symmetry-reduced run; resume with Options.DisableSymm and MatrixOpts.DisableSymm unset")
@@ -329,13 +329,16 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 	if err != nil {
 		return nil, err
 	}
-	run.onPhase = opts.OnPhase
-	err = run.explore()
+	start := time.Now()
+	err = run.search()
+	if opts.OnPhase != nil {
+		opts.OnPhase("search", time.Since(start))
+	}
 	if err != nil {
 		if !isInterrupt(err) {
 			return nil, err
 		}
-		// Interrupted with value: fold what the sweeps proved so far (all
+		// Interrupted with value: fold what the pass proved so far (all
 		// of it sound — positive facts come only from states already
 		// proven reachable and completable) into a partial result, and
 		// leave the analyzer's persistent memo untouched so no partial
@@ -357,23 +360,22 @@ func isInterrupt(err error) bool {
 }
 
 // batchRun carries one Matrix invocation's exploration state. The memo is
-// a statetab holding each reachable state's completability verdict
+// a statetab holding each finished state's completability verdict
 // inline: keys are the analyzer's packed []uint64 state words, and the
-// value bit is "completable" (false while only interned by the forward
-// pass, flipped true by the backward sweep). Keys use the canComplete
+// value bit is "completable". A state enters the table only when its last
+// child returns, so every entry is final. Keys use the canComplete
 // discriminator byte, so a finished table serves as the analyzer's
 // completion memo as is.
 //
-// The sweeps step the analyzer's own search state (pc, sem, ev and the
-// depth-0 scratch slots); every per-pair query resets that state before
+// The pass steps the analyzer's own search state (pc, sem, ev and the
+// per-depth scratch slots); every per-pair query resets that state before
 // it searches.
 type batchRun struct {
 	a   *Analyzer
 	ctx context.Context
 
-	table  *statetab.Table // packed state key → completable
+	table  *statetab.Table // packed state key → completable, finished states only
 	pcSeen *statetab.Table // pc signatures whose facts are already folded
-	levels [][]uint64      // reachable packed keys by executed-action count, keyWords stride
 
 	// pcSigWords/pcSigMask delimit the pc-counter prefix of a packed key
 	// (pc bits come first in packKey's layout); sigBuf is scratch for
@@ -383,8 +385,8 @@ type batchRun struct {
 	sigBuf     []uint64
 
 	// Fact-folding scratch (ended set, not-begun set, in-progress list),
-	// reused across every foldStateFacts call so the backward sweep does
-	// not allocate per pc signature.
+	// reused across every foldStateFacts call so the pass does not
+	// allocate per pc signature.
 	foldEnded    []uint64
 	foldNotBegun []uint64
 	foldInProg   []int32
@@ -398,7 +400,7 @@ type batchRun struct {
 	// seed is the optional fact bracket from MatrixOpts.Seed; needOrder /
 	// needOverlap (nil when unseeded) mask fact folding down to the facts
 	// the seed leaves undecided — decided facts are restored from the
-	// seed's lower bounds by applySeedFacts after the sweeps.
+	// seed's lower bounds by applySeedFacts after the pass.
 	seed        *FactSeed
 	needOrder   [][]uint64
 	needOverlap [][]uint64
@@ -406,32 +408,25 @@ type batchRun struct {
 	endedBits   [][][]uint64 // [proc][pc] events of proc already ended
 	begunBits   [][][]uint64 // [proc][pc] events of proc already begun
 	inProgEvent [][]int32    // [proc][pc] the one in-progress event, or -1
-	semPfx      [][][]int32  // [proc][pc] cumulative semaphore deltas
 
-	// symm enables orbit-canonical state keys: the forward sweep interns
-	// only the least representative of each orbit, the backward sweep folds
-	// facts for every orbit member, and pcSeen's aux word accumulates
-	// which per-process sync-edge orbit folds a canonical signature has
-	// already run. orbit is the orbit-enumeration walker.
+	// symm enables orbit-canonical state keys: the pass enters only the
+	// least representative of each orbit and folds facts for every orbit
+	// member, and pcSeen's aux word accumulates which per-process
+	// sync-edge orbit folds a canonical signature has already run. orbit
+	// is the orbit-enumeration walker.
 	symm  bool
 	orbit orbitWalker
 
-	// onPhase mirrors MatrixOpts.OnPhase (nil when unobserved): explore
-	// reports each sweep's wall time through it as the sweep ends.
-	onPhase func(string, time.Duration)
-
-	// phase/phaseLvl track which sweep is running and the level it is
-	// processing, so an interrupt can checkpoint its exact position.
-	// expanded and edges are cumulative across resumed attempts;
+	// expanded and edges count finished states and their successor
+	// transitions, cumulative across resumed attempts;
 	// baseExpanded/baseEdges carry the resumed-from checkpoint's values
 	// (zero on a fresh run), so the totals minus the base are this run's
-	// own effort.
-	phase        uint8
-	phaseLvl     int
+	// own effort. entered counts state entries for context polling.
 	expanded     int64
 	edges        int64
 	baseExpanded int64
 	baseEdges    int64
+	entered      uint32
 
 	budget int64 // total state budget; ≤ 0 means unlimited
 }
@@ -456,7 +451,7 @@ func newBatchRun(a *Analyzer, ctx context.Context, budget int64, sym bool, seed 
 	// The tables start empty and grow on demand: pre-sizing from the
 	// product of per-process position counts was tried and regresses tiny
 	// state spaces (the zeroing cost of a misjudged capacity dwarfs a
-	// 100-node sweep) without measurably helping large ones.
+	// 100-node pass) without measurably helping large ones.
 	r.table = statetab.New(a.keyWords, 0)
 	r.pcSeen = statetab.New(r.pcSigWords, 0)
 	r.sigBuf = make([]uint64, r.pcSigWords)
@@ -465,8 +460,9 @@ func newBatchRun(a *Analyzer, ctx context.Context, budget int64, sym bool, seed 
 	r.foldInProg = make([]int32, 0, len(a.procActs))
 	newFacts := func() [][]uint64 {
 		m := make([][]uint64, n)
+		words := make([]uint64, n*r.factWords)
 		for i := range m {
-			m[i] = make([]uint64, r.factWords)
+			m[i] = words[i*r.factWords : (i+1)*r.factWords : (i+1)*r.factWords]
 		}
 		return m
 	}
@@ -511,22 +507,12 @@ func newBatchRun(a *Analyzer, ctx context.Context, budget int64, sym bool, seed 
 	return r, nil
 }
 
-// restore loads a validated checkpoint into the freshly built run: tables
-// and folded facts are imported, the level lists are rebuilt by bucketing
-// each key on its executed-action count (levels are a pure function of
-// the program counters, so no separate frontier encoding is needed), and
-// the budget counters resume cumulatively.
-//
-// States' aux words are dropped: checkpoints cut by builds that had
-// sleep-set reduction carry each state's sleep mask there. Ignoring them
-// is sound — such a run had still interned every state of every level up
-// to the cut (sleep sets prune edges, never states), the re-run level is
-// now expanded unreduced, and the backward sweep always walked the full
-// enabled set.
+// restore loads a validated checkpoint into the freshly built run: the
+// finished states, the folded facts and the pc signatures behind them are
+// imported, and the budget counters resume cumulatively. The resumed pass
+// starts over from the root with the imported states as table hits.
 func (r *batchRun) restore(ckpt *Checkpoint) error {
-	states := *ckpt.States
-	states.Aux = nil
-	if err := r.table.Import(&states); err != nil {
+	if err := r.table.Import(ckpt.finishedStates(r.a)); err != nil {
 		return err
 	}
 	if err := r.pcSeen.Import(ckpt.PcSeen); err != nil {
@@ -537,61 +523,9 @@ func (r *batchRun) restore(ckpt *Checkpoint) error {
 		copy(r.canOrder[i], ckpt.CanOrder[i*r.factWords:(i+1)*r.factWords])
 		copy(r.canOverlap[i], ckpt.CanOverlap[i*r.factWords:(i+1)*r.factWords])
 	}
-	// Rebuild the per-level key lists. The forward sweep reaches levels
-	// contiguously from 0, so bucketing by Σ pc reproduces them exactly
-	// (in a different within-level order, which no verdict depends on).
-	kw := r.a.keyWords
-	maxLvl := 0
-	r.table.Range(func(key []uint64, _ bool) bool {
-		if lvl := r.keyLevel(key); lvl > maxLvl {
-			maxLvl = lvl
-		}
-		return true
-	})
-	if ckpt.NextLevel > maxLvl {
-		return errors.New("core: checkpoint frontier level exceeds its own state table")
-	}
-	r.levels = make([][]uint64, maxLvl+1)
-	r.table.Range(func(key []uint64, _ bool) bool {
-		lvl := r.keyLevel(key)
-		r.levels[lvl] = append(r.levels[lvl], key[:kw]...)
-		return true
-	})
-	r.phase = ckpt.Phase
-	r.phaseLvl = ckpt.NextLevel
 	r.expanded, r.baseExpanded = ckpt.Expanded, ckpt.Expanded
 	r.edges, r.baseEdges = ckpt.Edges, ckpt.Edges
 	return nil
-}
-
-// keyLevel computes the executed-action count of a packed key — the level
-// the forward sweep reached it at — from its program counters (unpacked
-// into the analyzer's search state).
-func (r *batchRun) keyLevel(key []uint64) int {
-	s := r.a
-	s.unpackKey(key)
-	lvl := 0
-	for _, pc := range s.pc {
-		lvl += int(pc)
-	}
-	return lvl
-}
-
-// decodeState loads the state encoded in a packed batch key (pc counters +
-// event variable bits) into the analyzer's search state; semaphore
-// counters are recomputed from the precomputed per-prefix deltas (they are
-// a pure function of pc and deliberately not part of the key).
-func (r *batchRun) decodeState(key []uint64) {
-	s := r.a
-	s.unpackKey(key)
-	copy(s.sem, s.semInit)
-	if len(s.sem) > 0 {
-		for p := range s.procActs {
-			for i, d := range r.semPfx[p][s.pc[p]] {
-				s.sem[i] += d
-			}
-		}
-	}
 }
 
 // pcSig extracts the pc-counter prefix of a packed key into the signature
@@ -607,237 +541,169 @@ func (r *batchRun) pcSig(key []uint64) []uint64 {
 }
 
 // precomputeIntervalTables builds, for every process p and program counter
-// value k: the set of p's events already ended, already begun, the (at most
-// one, by program order) event in progress, and the cumulative semaphore
-// deltas of p's first k actions.
+// value k: the set of p's events already ended, already begun, and the (at
+// most one, by program order) event in progress.
 func (r *batchRun) precomputeIntervalTables() {
 	a := r.a
+	fw := r.factWords
 	r.endedBits = make([][][]uint64, len(a.procActs))
 	r.begunBits = make([][][]uint64, len(a.procActs))
 	r.inProgEvent = make([][]int32, len(a.procActs))
-	r.semPfx = make([][][]int32, len(a.procActs))
-	for p := range a.procActs {
-		steps := len(a.procActs[p])
-		ended := make([][]uint64, steps+1)
-		begun := make([][]uint64, steps+1)
-		inProg := make([]int32, steps+1)
-		semPfx := make([][]int32, steps+1)
-		endedRun := make([]uint64, r.factWords)
-		begunRun := make([]uint64, r.factWords)
-		semRun := make([]int32, len(a.semInit))
+	// Every position of every process is carved from one backing array per
+	// kind, so the tables cost a constant number of allocations.
+	positions := len(a.acts) + len(a.procActs)
+	rows := make([][]uint64, 2*positions)
+	words := make([]uint64, 2*positions*fw)
+	inProgs := make([]int32, positions)
+	for p, ids := range a.procActs {
+		n := len(ids) + 1
+		ended, begun, inProg := rows[:n:n], rows[n:2*n:2*n], inProgs[:n:n]
+		rows, inProgs = rows[2*n:], inProgs[n:]
 		cur := int32(-1)
-		for k := 0; k <= steps; k++ {
-			ended[k] = append([]uint64(nil), endedRun...)
-			begun[k] = append([]uint64(nil), begunRun...)
-			inProg[k] = cur
-			semPfx[k] = append([]int32(nil), semRun...)
-			if k == steps {
-				break
-			}
-			act := &a.acts[a.procActs[p][k]]
-			ev := act.event
-			switch act.kind {
-			case actBegin:
-				begunRun[ev/64] |= 1 << uint(ev%64)
-				cur = ev
-			case actEnd:
-				endedRun[ev/64] |= 1 << uint(ev%64)
-				cur = -1
-			case actSync:
-				begunRun[ev/64] |= 1 << uint(ev%64)
-				endedRun[ev/64] |= 1 << uint(ev%64)
-				cur = -1
-				switch act.opKind {
-				case model.OpAcquire:
-					semRun[act.obj]--
-				case model.OpRelease:
-					semRun[act.obj]++
+		for k := 0; k < n; k++ {
+			ended[k], begun[k] = words[:fw:fw], words[fw:2*fw:2*fw]
+			words = words[2*fw:]
+			if k > 0 {
+				copy(ended[k], ended[k-1])
+				copy(begun[k], begun[k-1])
+				act := &a.acts[ids[k-1]]
+				ev := act.event
+				switch act.kind {
+				case actBegin:
+					begun[k][ev/64] |= 1 << uint(ev%64)
+					cur = ev
+				case actEnd:
+					ended[k][ev/64] |= 1 << uint(ev%64)
+					cur = -1
+				case actSync:
+					begun[k][ev/64] |= 1 << uint(ev%64)
+					ended[k][ev/64] |= 1 << uint(ev%64)
+					cur = -1
 				}
 			}
+			inProg[k] = cur
 		}
-		r.endedBits[p] = ended
-		r.begunBits[p] = begun
-		r.inProgEvent[p] = inProg
-		r.semPfx[p] = semPfx
+		r.endedBits[p], r.begunBits[p], r.inProgEvent[p] = ended, begun, inProg
 	}
 }
 
-// chargeState counts one expanded state against the batch budget.
-func (r *batchRun) chargeState() error {
-	r.expanded++
-	if r.budget > 0 && r.expanded > r.budget {
-		return ErrBudget
-	}
-	return nil
-}
+// batchPollInterval is how many state entries pass between context
+// polls. A state costs around a microsecond, so polling every 16 keeps
+// cancellation latency far below a millisecond, while even the smallest
+// traces poll more than once.
+const batchPollInterval = 16
 
-// runPhase calls fn for items 0..n-1 in order (callers index their flat
-// key slice by i), polling the context every 64 items, and stops at the
-// first error.
-func (r *batchRun) runPhase(n int, fn func(i int) error) error {
-	for i := 0; i < n; i++ {
-		if i%64 == 0 {
-			if err := r.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := fn(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// explore runs the two level-synchronous sweeps: forward reachability and
-// backward completability with fact folding fused in. On a resumed run
-// the sweeps pick up at the checkpoint's phase and level; the interrupted
-// level re-runs from scratch (every per-state step is deterministic and
-// idempotent, so the re-run is invisible in the verdicts).
-func (r *batchRun) explore() error {
-	if r.levels == nil {
-		// Fresh run: intern the initial state. Levels hold packed keys
-		// inline (keyWords stride), so appending a key copies its words —
-		// keys are owned by the level slice.
-		s := r.a
-		s.resetState()
-		root := make([]uint64, s.keyWords)
-		s.packKey(keyExtraComplete, root)
-		r.levels = append(r.levels, root)
-		r.table.Intern(root)
-	}
-	if r.phase == ckPhaseForward {
-		start := time.Now()
-		err := r.forward()
-		r.emitPhase("forward", start)
-		if err != nil {
-			return err
-		}
-		r.phase = ckPhaseBackward
-		r.phaseLvl = len(r.levels) - 1
-	}
-	start := time.Now()
-	err := r.backward()
-	r.emitPhase("backward", start)
+// search runs the depth-first pass from the initial state. On a resumed
+// run the pass starts over from the root; the checkpoint's finished states
+// are table hits, so only the states the interrupt left open are entered
+// again.
+func (r *batchRun) search() error {
+	s := r.a
+	s.resetState()
+	s.packKey(keyExtraComplete, s.keySlot(0))
+	_, err := r.visit(0)
 	return err
 }
 
-// emitPhase reports one sweep's wall time through the OnPhase hook.
-func (r *batchRun) emitPhase(name string, start time.Time) {
-	if r.onPhase != nil {
-		r.onPhase(name, time.Since(start))
-	}
-}
-
-// forward expands each level's states starting at phaseLvl, deduping
-// successors in the table. Levels are a topological order of the state
-// DAG (each step executes exactly one action).
-func (r *batchRun) forward() error {
+// visit runs the pass below the current state — the analyzer's search
+// state, whose key (orbit-canonical under symmetry) is in keySlot(depth)
+// and which is not in the table — and returns whether it can complete.
+// Children already in the table are looked up; new ones are entered by
+// stepping the analyzer's state (under symmetry, into the child's
+// canonical representative) and unstepping on return. A sync action into
+// a completable child folds its edge facts as the child returns (under
+// symmetry, with the state's orbit fold). When the last child returns the
+// state is charged, stored and, when completable, its state facts fold.
+func (r *batchRun) visit(depth int) (bool, error) {
 	s := r.a
-	kw := s.keyWords
-	for lvl := r.phaseLvl; lvl < len(s.acts); lvl++ {
-		r.phaseLvl = lvl
-		frontier := r.levels[lvl]
-		if len(frontier) == 0 {
-			break
+	if r.entered%batchPollInterval == 0 {
+		if err := r.ctx.Err(); err != nil {
+			return false, err
 		}
-		var next []uint64
-		err := r.runPhase(len(frontier)/kw, func(i int) error {
-			if err := r.chargeState(); err != nil {
-				return err
+	}
+	r.entered++
+	key := s.keySlot(depth)
+	if s.allDone() {
+		r.table.Store(key, true)
+		r.foldState(key, 0)
+		return true, nil
+	}
+	enabled := s.appendEnabled(s.enabledSlot(depth))
+	child := s.keySlot(depth + 1)
+	// With symmetry on, successors are patched into raw scratch and
+	// canonicalized into child before the lookup.
+	raw := child
+	if r.symm {
+		raw = s.symmRaw
+	}
+	completable := false
+	var syncMask uint64
+	for _, id := range enabled {
+		s.patchChildKey(id, key, raw)
+		moved := r.symm && s.canonicalizeKey(raw, child)
+		if moved {
+			s.stats.SymmCollapses++
+		}
+		ok, done := r.table.Lookup(child)
+		if !done {
+			undo := s.step(id)
+			if moved {
+				// The representative differs from the stepped state only
+				// in its class members' counters; semaphores and event
+				// variables are fixed by the permutation.
+				s.unpackKey(child)
 			}
-			key := frontier[i*kw : (i+1)*kw]
-			r.decodeState(key)
-			child := s.keySlot(0)
-			// With symmetry on, successors are patched into raw scratch
-			// and canonicalized into child before interning.
-			raw := child
+			var err error
+			ok, err = r.visit(depth + 1)
+			s.unstep(id, undo)
+			if moved {
+				s.unpackKey(key)
+			}
+			if err != nil {
+				return false, err
+			}
+		}
+		if !ok {
+			continue
+		}
+		completable = true
+		if act := &s.acts[id]; act.kind == actSync {
 			if r.symm {
-				raw = s.symmRaw
+				// Deferred: the orbit fold replays this edge for every
+				// orbit member, deduped through pcSeen's fold mask.
+				syncMask |= 1 << uint(act.proc)
+			} else {
+				// Edge rule: the atomic event fires here, inside the
+				// interval of every in-progress event.
+				r.foldSyncOverlap(s.pc, act.event)
 			}
-			for _, id := range s.appendEnabled(s.enabledSlot(0)) {
-				r.edges++
-				s.patchChildKey(id, key, raw)
-				if r.symm && s.canonicalizeKey(raw, child) {
-					s.stats.SymmCollapses++
-				}
-				if r.table.Intern(child) {
-					next = append(next, child...)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
 		}
-		r.levels = append(r.levels, next)
 	}
-	return nil
+	// Charge the finished state with its transitions. A state whose charge
+	// would exceed the budget stays open: it is neither stored nor folded,
+	// and a resumed pass enters it again without charging it twice.
+	if r.budget > 0 && r.expanded >= r.budget {
+		return false, ErrBudget
+	}
+	r.expanded++
+	r.edges += int64(len(enabled))
+	r.table.Store(key, completable)
+	if completable {
+		r.foldState(key, syncMask)
+	}
+	return completable, nil
 }
 
-// backward decides completability per level, phaseLvl down to first; it
-// folds state facts for every completable state as its verdict lands, and
-// edge facts for every sync action connecting two completable states.
-// Every state and child key was interned by the forward pass, so the
-// backward writes only flip existing value bits.
-func (r *batchRun) backward() error {
-	s := r.a
-	kw := s.keyWords
-	for lvl := r.phaseLvl; lvl >= 0; lvl-- {
-		r.phaseLvl = lvl
-		level := r.levels[lvl]
-		err := r.runPhase(len(level)/kw, func(i int) error {
-			key := level[i*kw : (i+1)*kw]
-			r.decodeState(key)
-			completable := false
-			var syncMask uint64
-			if s.allDone() {
-				completable = true
-			} else {
-				enabled := s.appendEnabled(s.enabledSlot(0))
-				child := s.keySlot(0)
-				for _, id := range enabled {
-					s.patchChildKey(id, key, child)
-					ck := child
-					if r.symm {
-						// The table holds canonical keys only; the child of
-						// a canonical state need not be canonical itself.
-						s.canonicalizeKey(child, s.symmRaw)
-						ck = s.symmRaw
-					}
-					childOK, _ := r.table.Lookup(ck)
-					if !childOK {
-						continue
-					}
-					completable = true
-					if s.acts[id].kind == actSync {
-						if r.symm {
-							// Deferred: the orbit fold below replays this
-							// edge for every orbit member, deduped through
-							// pcSeen's accumulated fold mask.
-							syncMask |= 1 << uint(s.acts[id].proc)
-						} else {
-							// Edge rule: the atomic event fires here, inside
-							// the interval of every in-progress event.
-							r.foldSyncOverlap(s.pc, s.acts[id].event)
-						}
-					}
-				}
-			}
-			if completable {
-				r.table.Store(key, true)
-				if r.symm {
-					r.orbit.fold(s, key, syncMask)
-				} else if r.pcSeen.Intern(r.pcSig(key)) {
-					r.foldStateFacts(s.pc)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+// foldState folds the facts of the finished, completable current state
+// whose key is key: its state facts once per pc signature, and, under
+// symmetry, both kinds for every orbit member (syncMask names the
+// processes whose sync action led to a completable child).
+func (r *batchRun) foldState(key []uint64, syncMask uint64) {
+	if r.symm {
+		r.orbit.fold(r.a, key, syncMask)
+	} else if r.pcSeen.Intern(r.pcSig(key)) {
+		r.foldStateFacts(r.a.pc)
 	}
-	return nil
 }
 
 // foldStateFacts derives the interval facts visible at the reachable,
@@ -930,7 +796,7 @@ func (r *batchRun) foldSyncOverlap(pc []int32, ev int32) {
 }
 
 // applySeedFacts restores the seed's lower-bound facts into the master
-// matrices after the sweeps: the fold masks excluded seed-decided facts
+// matrices after the pass: the fold masks excluded seed-decided facts
 // from derivation, so proven-true facts re-enter here and proven-false
 // facts stay clear (a sound exploration could never have set them). The
 // union is exactly the unseeded exploration's matrices — the seeded run
@@ -956,11 +822,11 @@ func (r *batchRun) fact(facts [][]uint64, i, j int) bool {
 	return facts[i][j/64]&(1<<uint(j%64)) != 0
 }
 
-// orbitWalker replays a canonical backward-sweep state's fact folds for
-// every member of its orbit, keeping the symmetry-reduced run's matrices
-// bit-identical to the unreduced engine's: the unreduced backward sweep
-// visits each member as a real state and folds there; the reduced sweep
-// visits only the representative, so the walker reconstructs the member
+// orbitWalker replays a canonical finished state's fact folds for every
+// member of its orbit, keeping the symmetry-reduced run's matrices
+// bit-identical to the unreduced engine's: the unreduced pass visits each
+// member as a real state and folds there; the reduced pass visits only
+// the representative, so the walker reconstructs the member
 // program counters (facts depend on states only through pc) and folds the
 // same set. All walk state lives in the struct and recursion is by method,
 // so enumeration allocates nothing per state.
@@ -1063,38 +929,22 @@ func (o *orbitWalker) emit(s *Analyzer) {
 	}
 }
 
-// checkpoint captures the interrupted run's position and knowledge. A
-// forward-phase capture drops the keys of the partially interned next
-// level (they must re-enter the frontier as fresh when the level re-runs)
-// — their level is recoverable from each key's program counters, so the
-// filter needs no bookkeeping from the hot loops.
+// checkpoint captures the interrupted run's knowledge: the finished
+// states (every table entry is final), the facts folded from them, and
+// the budget counters.
 func (r *batchRun) checkpoint() *Checkpoint {
-	n := len(r.a.x.Events)
 	c := &Checkpoint{
 		Fingerprint: r.a.fingerprint(),
 		Symm:        r.symm,
-		Phase:       r.phase,
-		NextLevel:   r.phaseLvl,
+		Phase:       ckPhaseSearch,
 		Expanded:    r.expanded,
 		Edges:       r.edges,
-		NumEvents:   n,
+		NumEvents:   len(r.a.x.Events),
+		States:      r.table.Export(),
 		PcSeen:      r.pcSeen.Export(),
 		CanOrder:    flattenFacts(r.canOrder, r.factWords),
 		CanOverlap:  flattenFacts(r.canOverlap, r.factWords),
 	}
-	snap := r.table.Export()
-	if r.phase == ckPhaseForward {
-		filtered := &statetab.Snapshot{Words: snap.Words}
-		for i := 0; i < snap.Entries; i++ {
-			key := snap.Key(i)
-			if r.keyLevel(key) > r.phaseLvl {
-				continue
-			}
-			filtered.Append(key, snap.Val(i))
-		}
-		snap = filtered
-	}
-	c.States = snap
 	if r.seed != nil {
 		c.HasSeed = true
 		c.SeedOrder = seedPairs(r.seed.Order)

@@ -44,29 +44,25 @@ func badCheckpoint(format string, args ...any) error {
 
 // Checkpoint is a serializable snapshot of an interrupted batch
 // exploration, returned inside a partial MatrixResult and resumed via
-// MatrixOpts.Resume. It captures everything the level-synchronous sweeps
-// need to pick up where they stopped:
+// MatrixOpts.Resume. The depth-first pass stores a state only when its
+// last child returns, so a checkpoint holds finished states alone, and
+// their completability is final. It captures:
 //
-//   - the shared state table (packed keys and completability bits) as a
-//     statetab.Snapshot — the exploration's memo AND its frontier, since a
-//     key's level is recoverable from its program counters (level =
-//     executed actions = Σ pc);
-//   - which sweep was running (Phase) and the level it was processing
-//     (NextLevel) — resuming re-runs that level from scratch, which is
-//     safe because every per-state step is idempotent and deterministic;
+//   - the finished states (packed keys and completability bits) as a
+//     statetab.Snapshot — the resumed pass reruns from the root with them
+//     as table hits, so only the states the interrupt left open are
+//     entered again, and they are charged only when they finish;
 //   - the interval facts folded so far (CanOrder/CanOverlap) plus the pc
 //     signatures already folded (PcSeen), so resumed folding neither
 //     loses nor double-counts facts;
 //   - the polynomial fact seed the run started with, so a resumed run
 //     needs no separate MatrixOpts.Seed (the two are mutually exclusive);
 //   - the cumulative Expanded count, charged against the resuming call's
-//     budget so a budget names total states across all attempts.
+//     budget so a budget names finished states across all attempts.
 //
-// A checkpoint taken mid-forward-sweep drops the partially interned next
-// level: re-expanding NextLevel must re-intern those children as fresh,
-// or they would never enter the next frontier. Dropped work is re-charged
-// on resume, so Expanded can exceed a one-shot run's count by at most one
-// level per interrupt — verdicts are unaffected.
+// Checkpoints cut by the level-synchronous sweeps of earlier builds still
+// resume: their entries are imported only where the bit is final (see
+// finishedStates).
 //
 // The Fingerprint binds the checkpoint to the analyzer's preprocessed
 // execution structure and feasibility notion (IgnoreData); resuming on a
@@ -85,22 +81,25 @@ type Checkpoint struct {
 	// runs that produced them. (Gob omits zero-valued fields, so old
 	// payloads remain readable.)
 	Symm bool
-	// Phase is the interrupted sweep: 0 forward, 1 backward.
+	// Phase names the engine that cut the checkpoint: 2 for the
+	// depth-first pass, 0 and 1 for the forward and backward sweeps of
+	// earlier builds.
 	Phase uint8
-	// NextLevel is the level the interrupted sweep was processing; the
-	// resumed run re-runs it from scratch.
+	// NextLevel is the level an earlier build's interrupted sweep was
+	// processing (zero from the depth-first pass).
 	NextLevel int
 	// Expanded is the cumulative number of states charged against the
 	// budget across all attempts so far.
 	Expanded int64
-	// Edges is the cumulative explored forward-edge count.
+	// Edges is the cumulative count of the charged states' successor
+	// transitions.
 	Edges int64
 	// NumEvents is the execution's event count (sizes the fact rows).
 	NumEvents int
-	// States is the shared exploration table: packed state keys, each
-	// with its completability bit. Checkpoints from builds with sleep-set
-	// reduction also carry a POR flag and per-state sleep masks in the aux
-	// words; gob skips the flag and resume ignores the masks.
+	// States holds the finished states: packed state keys, each with its
+	// completability bit. Checkpoints from builds with sleep-set reduction
+	// also carry a POR flag and per-state sleep masks in the aux words; gob
+	// skips the flag and resume ignores the masks.
 	States *statetab.Snapshot
 	// PcSeen is the set of pc signatures whose facts are already folded.
 	PcSeen *statetab.Snapshot
@@ -114,10 +113,12 @@ type Checkpoint struct {
 	SeedOrder, SeedNoOrder, SeedOverlap, SeedNoOverlap [][2]int32
 }
 
-// Checkpoint phases.
+// Checkpoint phases: the two level sweeps of earlier builds, and the
+// depth-first pass.
 const (
 	ckPhaseForward uint8 = iota
 	ckPhaseBackward
+	ckPhaseSearch
 )
 
 // Encode serializes the checkpoint as a 5-byte header ("EOCK" + version)
@@ -239,7 +240,7 @@ func (c *Checkpoint) validateFor(a *Analyzer) error {
 	if c.Fingerprint != a.fingerprint() {
 		return badCheckpoint("checkpoint fingerprint does not match this execution (wrong trace, event set, or IgnoreData setting)")
 	}
-	if c.Phase > ckPhaseBackward {
+	if c.Phase > ckPhaseSearch {
 		return badCheckpoint("checkpoint phase %d out of range", c.Phase)
 	}
 	if c.NumEvents != len(a.x.Events) {
@@ -253,9 +254,6 @@ func (c *Checkpoint) validateFor(a *Analyzer) error {
 	}
 	if c.States == nil || c.PcSeen == nil {
 		return badCheckpoint("checkpoint is missing its state tables")
-	}
-	if c.States.Entries < 1 {
-		return badCheckpoint("checkpoint state table is empty")
 	}
 	if err := c.States.Validate(); err != nil {
 		return badCheckpoint("checkpoint state table: %v", err)
@@ -274,11 +272,47 @@ func (c *Checkpoint) validateFor(a *Analyzer) error {
 	return nil
 }
 
+// finishedStates returns the checkpoint's state entries whose bit is
+// final, without aux words. Every entry the depth-first pass stored is. A
+// level-sweep checkpoint also holds open ones: the forward sweep interned
+// each state false, and the backward sweep settles levels from the
+// deepest up (a state's level is its executed-action count, Σ pc). There
+// a true bit is final in either phase, and in a backward cut so is every
+// bit above the level the sweep was processing; the rest re-enter the
+// pass as open states. The facts and pc signatures of such a checkpoint
+// came from completable states alone, so they import as they are.
+func (c *Checkpoint) finishedStates(a *Analyzer) *statetab.Snapshot {
+	if c.Phase == ckPhaseSearch {
+		states := *c.States
+		states.Aux = nil
+		return &states
+	}
+	out := &statetab.Snapshot{Words: c.States.Words}
+	for i := 0; i < c.States.Entries; i++ {
+		key, v := c.States.Key(i), c.States.Val(i)
+		if v || (c.Phase == ckPhaseBackward && a.keyLevel(key) > c.NextLevel) {
+			out.Append(key, v)
+		}
+	}
+	return out
+}
+
+// keyLevel returns the executed-action count (Σ pc) of a packed key,
+// unpacking it into the analyzer's search state.
+func (a *Analyzer) keyLevel(key []uint64) int {
+	a.unpackKey(key)
+	level := 0
+	for _, pc := range a.pc {
+		level += int(pc)
+	}
+	return level
+}
+
 // fingerprint digests the preprocessed execution structure plus the
 // feasibility notion: the full action list (kinds, operations, events,
 // processes, objects, data prerequisites), initial semaphore and event-
 // variable state, and IgnoreData. Two analyzers with equal fingerprints
-// run identical sweeps, so a checkpoint from one resumes on the other.
+// run identical searches, so a checkpoint from one resumes on the other.
 func (a *Analyzer) fingerprint() [32]byte {
 	h := sha256.New()
 	var w [8]byte

@@ -73,7 +73,7 @@ type Options struct {
 	DisablePOR bool
 	// DisableSymm turns off process-symmetry reduction, restoring raw
 	// (non-canonicalized) state keys in the completion memo and the batch
-	// sweeps. Verdicts and relation matrices are identical either way —
+	// pass. Verdicts and relation matrices are identical either way —
 	// symmetry only collapses states that differ by a proven program
 	// automorphism — so this is an escape hatch and a differential-testing
 	// axis. Symmetry also disables itself automatically when no nontrivial
@@ -97,9 +97,11 @@ type Stats struct {
 	MemoGrows    int64   // capacity doublings since creation or DropMemo
 	// SymmClasses is the number of interchangeable-process classes the
 	// symmetry detector proved (0 when reduction is off or the group is
-	// trivial); SymmCollapses counts states whose key canonicalized to a
-	// different orbit representative — search work the reduction avoided
-	// re-doing.
+	// trivial); SymmCollapses counts completion-memo probes whose key
+	// canonicalized to a different orbit representative, so that the
+	// probe shared the representative's entry. A Matrix probes once per
+	// successor transition of each state it enters, a per-pair query once
+	// per non-final state its completion search reaches.
 	SymmClasses   int
 	SymmCollapses int64
 }
@@ -668,8 +670,8 @@ func readBits(key []uint64, bit, width uint) uint64 {
 
 // unpackKey loads the pc and ev fields of a packed key into the analyzer's
 // mutable state (the inverse of packKey; the extra byte is ignored).
-// Semaphore counters are NOT restored — they are derived state; see the
-// batch engine's decodeState.
+// Semaphore counters are NOT restored: they are derived state, a pure
+// function of the program counters.
 func (a *Analyzer) unpackKey(key []uint64) {
 	bit := uint(0)
 	for p := range a.pc {

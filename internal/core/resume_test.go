@@ -51,6 +51,12 @@ func resumeToCompletion(t *testing.T, x *model.Execution, first *MatrixResult, o
 // (through serialized checkpoints) in small budget increments until
 // complete, and require the final matrices bit-identical to a one-shot
 // run — and every intermediate partial verdict to agree with it.
+//
+// The pass charges a state only when it finishes, so each resume finishes
+// at least one more state, and the loop may take at most the one-shot
+// run's Expanded plus one steps: a resume that charged re-entered open
+// states again would stall. Traces under 100 states also resume with a
+// budget step of 1, one finished state per attempt.
 func requireResumeIdentity(t *testing.T, tag string, x *model.Execution, opts Options) {
 	t.Helper()
 	oneShot, err := mustAnalyzer(t, x, opts).Matrix(context.Background(), nil, MatrixOpts{})
@@ -60,11 +66,20 @@ func requireResumeIdentity(t *testing.T, tag string, x *model.Execution, opts Op
 	if !oneShot.Complete {
 		t.Fatalf("%s: one-shot run incomplete", tag)
 	}
+	steps := []int64{1 + oneShot.Expanded/7}
+	if oneShot.Expanded < 100 {
+		steps = append(steps, 1)
+	}
+	for _, step := range steps {
+		requireResumeSteps(t, fmt.Sprintf("%s step=%d", tag, step), x, opts, oneShot, step)
+	}
+}
 
-	// Budget 1 forces an interrupt at the very first level; each resume
-	// step adds a sliver of budget so the run crosses many checkpoints
-	// (forward and backward phase boundaries included).
-	step := int64(1 + oneShot.Expanded/7)
+// requireResumeSteps runs one pass of requireResumeIdentity: budget 1 forces
+// an interrupt at the very first finished state, and each resume step adds
+// step states of budget, so the run crosses many checkpoints.
+func requireResumeSteps(t *testing.T, tag string, x *model.Execution, opts Options, oneShot *MatrixResult, step int64) {
+	t.Helper()
 	first, err := mustAnalyzer(t, x, opts).Matrix(context.Background(), nil,
 		MatrixOpts{Budget: 1})
 	if err != nil {
@@ -80,8 +95,8 @@ func requireResumeIdentity(t *testing.T, tag string, x *model.Execution, opts Op
 	n := model.EventID(len(x.Events))
 	cur := first
 	for steps := 0; !cur.Complete; steps++ {
-		if steps > 10_000 {
-			t.Fatalf("%s: resume loop did not converge", tag)
+		if int64(steps) > oneShot.Expanded+1 {
+			t.Fatalf("%s: %d resume steps for %d states; the resumed pass stalls", tag, steps, oneShot.Expanded)
 		}
 		// Soundness at every intermediate: a decided partial verdict must
 		// equal the one-shot verdict, and budgets are cumulative, so the
@@ -128,6 +143,9 @@ func requireResumeIdentity(t *testing.T, tag string, x *model.Execution, opts Op
 	}
 	if cur.Checkpoint != nil || cur.Cause != nil || cur.Undecided != nil {
 		t.Errorf("%s: complete result still carries partial fields", tag)
+	}
+	if cur.Expanded != oneShot.Expanded {
+		t.Errorf("%s: resumed attempts charged %d states in total, one-shot %d", tag, cur.Expanded, oneShot.Expanded)
 	}
 }
 
@@ -327,6 +345,77 @@ func TestResumeIdentityLegacyPORCheckpoint(t *testing.T) {
 	if !res.Complete {
 		t.Fatalf("unbudgeted resume stopped early: %v", res.Cause)
 	}
+	warm, err := a.AllRelations(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range AllRelKinds {
+		if !res.Relations[kind].Equal(oneShot.Relations[kind]) {
+			t.Errorf("%s: resumed legacy checkpoint differs from one-shot", kind)
+		}
+		if !warm[kind].Equal(oneShot.Relations[kind]) {
+			t.Errorf("%s: per-pair after the legacy resume differs from one-shot", kind)
+		}
+	}
+}
+
+// TestResumeIdentityLegacyBackwardCheckpoint resumes a checkpoint that a
+// build with the two level sweeps cut in the middle of the backward sweep
+// on burst.evo (testdata/burst_backward.ckpt, committed as EncodeString
+// output): every state is interned, the levels above NextLevel are
+// settled, and NextLevel itself is part done, so its entries hold both
+// final true bits and unsettled false ones. Resumed to completion it must
+// be bit-identical to a one-shot Matrix and hand over the same memo, entry
+// for entry, and the memo must answer per-pair queries exactly.
+func TestResumeIdentityLegacyBackwardCheckpoint(t *testing.T) {
+	x := loadTrace(t, "burst.evo")
+	enc, err := os.ReadFile(filepath.Join("testdata", "burst_backward.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := DecodeCheckpointString(strings.TrimSpace(string(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt.Phase != ckPhaseBackward {
+		t.Fatalf("legacy checkpoint phase %d, want backward", ckpt.Phase)
+	}
+	a := mustAnalyzer(t, x, Options{})
+	var atLevel [2]int
+	for i := 0; i < ckpt.States.Entries; i++ {
+		if a.keyLevel(ckpt.States.Key(i)) == ckpt.NextLevel {
+			if ckpt.States.Val(i) {
+				atLevel[1]++
+			} else {
+				atLevel[0]++
+			}
+		}
+	}
+	if atLevel[0] == 0 || atLevel[1] == 0 {
+		t.Fatalf("level %d holds %d false and %d true entries; the cut is not mid-level", ckpt.NextLevel, atLevel[0], atLevel[1])
+	}
+	oneShotA := mustAnalyzer(t, x, Options{})
+	oneShot, err := oneShotA.Matrix(context.Background(), nil, MatrixOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Matrix(context.Background(), nil, MatrixOpts{Resume: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete {
+		t.Fatalf("unbudgeted resume stopped early: %v", res.Cause)
+	}
+	if got, want := a.Stats().CompleteMemo, oneShotA.Stats().CompleteMemo; got != want {
+		t.Errorf("resumed memo holds %d states, one-shot %d", got, want)
+	}
+	oneShotA.memoComplete.Range(func(key []uint64, want bool) bool {
+		if got, ok := a.memoComplete.Lookup(key); !ok || got != want {
+			t.Errorf("resumed memo has (%v, %v) for a state the one-shot memo holds as %v", got, ok, want)
+			return false
+		}
+		return true
+	})
 	warm, err := a.AllRelations(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -178,6 +178,55 @@ func TestSymmStatsCounters(t *testing.T) {
 	}
 }
 
+// TestSymmCollapsesCount pins what Stats.SymmCollapses counts: completion
+// memo probes whose key canonicalized to another orbit representative. A
+// Matrix probes each successor of each state once, hits included, so its
+// count is recounted here from the states it hands over as the memo; a
+// per-pair query counts the probes of its completion search.
+func TestSymmCollapsesCount(t *testing.T) {
+	x := loadTrace(t, "barrier6.evo")
+	a := symmAnalyzer(t, x)
+	if _, err := a.Matrix(context.Background(), nil, MatrixOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	var recount int64
+	child, canon := make([]uint64, a.keyWords), make([]uint64, a.keyWords)
+	a.memoComplete.Range(func(key []uint64, _ bool) bool {
+		a.unpackKey(key)
+		copy(a.sem, a.semInit)
+		for p, ids := range a.procActs {
+			for _, id := range ids[:a.pc[p]] {
+				switch act := &a.acts[id]; act.opKind {
+				case model.OpAcquire:
+					a.sem[act.obj]--
+				case model.OpRelease:
+					a.sem[act.obj]++
+				}
+			}
+		}
+		for _, id := range a.appendEnabled(nil) {
+			a.patchChildKey(id, key, child)
+			if a.canonicalizeKey(child, canon) {
+				recount++
+			}
+		}
+		return true
+	})
+	// 105 of the 189 transitions out of the 54 representatives land off
+	// their orbit's representative; only 35 of them reach a new state.
+	if got := a.Stats().SymmCollapses; got != 105 || recount != 105 {
+		t.Errorf("Matrix SymmCollapses = %d, recounted from its memo %d, want 105", got, recount)
+	}
+
+	b := symmAnalyzer(t, x)
+	if _, err := b.Decide(context.Background(), RelMHB, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Stats().SymmCollapses; got != 11 {
+		t.Errorf("per-pair MHB(e0, e1) SymmCollapses = %d, want 11", got)
+	}
+}
+
 // TestPerPairSymmIdentity: the canComplete memo integration — per-pair
 // verdicts with the canonical-key memo equal the raw-key engine's. The
 // deprecated DisablePOR knob is set both ways on the symmetric analyzer:

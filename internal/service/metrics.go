@@ -74,9 +74,11 @@ const (
 	// recent analysis detected (0 when the trace has no provable
 	// automorphisms or symmetry is disabled).
 	MetricSymmClasses = "symm_classes"
-	// MetricSymmCollapses counts state keys the symmetry canonicalizer
-	// rewrote onto a smaller orbit representative across all finished
-	// jobs — the raw volume of exploration the orbit collapse avoided.
+	// MetricSymmCollapses sums core.Stats.SymmCollapses across all
+	// finished jobs: completion-memo probes whose state key the symmetry
+	// canonicalizer rewrote onto a smaller orbit representative (one per
+	// such successor transition in a matrix, one per such state a pair
+	// query's completion search reaches).
 	MetricSymmCollapses = "symm_collapse_total"
 	// MetricQueueWait is the per-lane queue-wait histogram family, in
 	// seconds, log-bucketed, as "queue_wait_seconds_<lane>"

@@ -1081,7 +1081,7 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 		Resume: resume,
 	}
 	mopts = mopts.Normalize(s.matrixLimits())
-	// The engine reports its forward/backward sweep spans to the request
+	// The engine reports its search span to the request
 	// trace (the tracer is concurrency-safe; the job runs on a worker).
 	mopts.OnPhase = tr.phase
 

@@ -16,7 +16,7 @@ import (
 // structured log line the request produces — so an operator can join a
 // client-reported envelope to the server's logs with one grep. Alongside
 // the ID the tracer accumulates span-style phase timings (queue wait,
-// plan, forward/backward sweeps, ...) that ride back to the client in the
+// plan, the matrix search, ...) that ride back to the client in the
 // envelope's trace block: for a workload whose cost is NP-hard in the
 // worst case, "where did my 30 seconds go" must be answerable per request,
 // not just in aggregate.
@@ -44,9 +44,9 @@ func newRequestID() string {
 // Phases the engine reports: "decode" (the request body's JSON, including a
 // trace the one-pass path decodes in place), "resolve" (parsing/running the
 // program, or decoding a trace the body decode left raw, and hashing the
-// execution), "plan" (polynomial cascade), "forward" and "backward" (the
-// batch engine's two sweeps), "decide" / "detect" / "witness" for the
-// non-matrix endpoints.
+// execution), "plan" (polynomial cascade), "search" (the batch engine's
+// depth-first pass, fact folding included), "decide" / "detect" /
+// "witness" for the non-matrix endpoints.
 type Phase struct {
 	// Name identifies the span.
 	Name string `json:"name"`

@@ -31,6 +31,24 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// NewRows returns count empty sets over the universe [0, n), the rows of
+// a matrix, carved from one backing array of words: two allocations for
+// the whole matrix instead of two per row. Each row's words are capped at
+// its own length, so no row reaches into the next.
+// It panics if count or n is negative.
+func NewRows(count, n int) []Set {
+	if count < 0 || n < 0 {
+		panic("bitset: negative size")
+	}
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*w)
+	rows := make([]Set, count)
+	for i := range rows {
+		rows[i] = Set{n: n, words: words[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return rows
+}
+
 // Len returns the size of the universe (not the number of set bits).
 func (s *Set) Len() int { return s.n }
 

@@ -318,3 +318,43 @@ func TestQuickProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewRowsIndependent: rows carved from one backing array behave as
+// separately allocated sets — filling, growing through Words or cloning
+// one row never shows in another — and cost two allocations in all.
+func TestNewRowsIndependent(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		rows := NewRows(4, n)
+		if len(rows) != 4 {
+			t.Fatalf("n=%d: %d rows, want 4", n, len(rows))
+		}
+		rows[1].Fill()
+		if n > 0 {
+			rows[2].Set(n - 1)
+		}
+		for i := range rows {
+			want := map[int]int{1: n, 2: min(n, 1)}[i]
+			if rows[i].Len() != n || rows[i].Count() != want {
+				t.Errorf("n=%d: row %d has Len %d Count %d, want %d and %d", n, i, rows[i].Len(), rows[i].Count(), n, want)
+			}
+		}
+		w := rows[0].Words()
+		if cap(w) != len(w) {
+			t.Errorf("n=%d: row 0's words have capacity %d past length %d", n, cap(w), len(w))
+		}
+		c := rows[1].Clone()
+		c.Reset()
+		if rows[1].Count() != n {
+			t.Errorf("n=%d: resetting a clone cleared its row", n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { NewRows(50, 50) }); allocs != 2 {
+		t.Errorf("NewRows made %v allocations, want 2", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewRows(-1, 1) did not panic")
+		}
+	}()
+	NewRows(-1, 1)
+}

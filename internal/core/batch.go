@@ -47,8 +47,10 @@ import (
 // the same memo keys. Each reachable state is entered once; when its last
 // child returns, its completability is final, so it is stored and, when
 // completable, its facts fold into the two matrices. The pass runs on the
-// calling goroutine over one state table, which a complete run hands to
-// the analyzer as its completion memo.
+// calling goroutine. A non-symmetric pass whose position product fits
+// cellLimit stores states in a cellMemo addressed by position (cells.go);
+// the others store them in a hashed state table. A complete run hands its
+// memo to the analyzer as its completion memo.
 
 // MatrixOpts configures Analyzer.Matrix (and the planning layers built on
 // it: plan.Analyze and the eventorder.AnalyzeMatrix facade).
@@ -66,7 +68,8 @@ type MatrixOpts struct {
 	// entered again, free, on resume. When the budget runs out the analysis
 	// returns a partial MatrixResult carrying a Checkpoint; a resumed run
 	// charges the budget cumulatively (a budget of B names B finished
-	// states across all attempts).
+	// states across all attempts). The count is the same whichever memo
+	// layout the pass runs over.
 	Budget int64
 	// Tiers caps the polynomial planning cascade for the layers above the
 	// exact engine (plan.Analyze, eventorder.AnalyzeMatrix): 0 runs every
@@ -253,9 +256,11 @@ func (m *MatrixResult) DecidedPairs() int {
 // error return is reserved for real failures (invalid kinds, inconsistent
 // seeds, mismatched checkpoints).
 //
-// On a complete run the batch's state table becomes the analyzer's
+// On a complete run the batch's state memo becomes the analyzer's
 // persistent completion memo, so later per-pair queries on the same
-// analyzer start warm; an interrupted run leaves the memo untouched.
+// analyzer start warm (a position-addressed memo is converted to a state
+// table by the first such query, never by Matrix); an interrupted run
+// leaves the memo untouched.
 func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts) (*MatrixResult, error) {
 	if len(kinds) == 0 {
 		kinds = AllRelKinds
@@ -359,10 +364,13 @@ func isInterrupt(err error) bool {
 	return errors.Is(err, ErrBudget) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// batchRun carries one Matrix invocation's exploration state. The memo is
-// a statetab holding each finished state's completability verdict
-// inline: keys are the analyzer's packed []uint64 state words, and the
-// value bit is "completable". A state enters the table only when its last
+// batchRun carries one Matrix invocation's exploration state. The memo
+// holds each finished state's completability verdict, in one of two
+// layouts. A non-symmetric pass whose cell count fits the analyzer's cell
+// limit uses cells, two bits per state addressed by position, and cells'
+// fold bitset. Every other pass uses table, a statetab keyed by the
+// analyzer's packed []uint64 state words with the value bit
+// "completable", and pcSeen. A state enters the memo only when its last
 // child returns, so every entry is final. Keys use the canComplete
 // discriminator byte, so a finished table serves as the analyzer's
 // completion memo as is.
@@ -374,6 +382,7 @@ type batchRun struct {
 	a   *Analyzer
 	ctx context.Context
 
+	cells  *cellMemo       // position-addressed memo, or nil
 	table  *statetab.Table // packed state key → completable, finished states only
 	pcSeen *statetab.Table // pc signatures whose facts are already folded
 
@@ -441,20 +450,20 @@ func newBatchRun(a *Analyzer, ctx context.Context, budget int64, sym bool, seed 
 		symm:      sym,
 		seed:      seed,
 	}
-	pcBitsTotal := len(a.pc) * int(a.pcBits)
-	r.pcSigWords = (pcBitsTotal + 63) / 64
-	if rem := uint(pcBitsTotal - (r.pcSigWords-1)*64); rem == 64 {
-		r.pcSigMask = ^uint64(0)
-	} else {
-		r.pcSigMask = 1<<rem - 1
+	r.pcSigWords, r.pcSigMask = a.pcSigGeometry()
+	if !sym {
+		r.cells = newCellMemo(a, a.maxCells)
 	}
-	// The tables start empty and grow on demand: pre-sizing from the
-	// product of per-process position counts was tried and regresses tiny
-	// state spaces (the zeroing cost of a misjudged capacity dwarfs a
-	// 100-node pass) without measurably helping large ones.
-	r.table = statetab.New(a.keyWords, 0)
-	r.pcSeen = statetab.New(r.pcSigWords, 0)
-	r.sigBuf = make([]uint64, r.pcSigWords)
+	if r.cells == nil {
+		// The tables start empty and grow on demand: they serve symmetric
+		// passes, whose orbit representatives are a small share of the
+		// position product, and products above the cell limit, which are
+		// too large to size up front. Passes small enough to size exactly
+		// run over cells instead.
+		r.table = statetab.New(a.keyWords, 0)
+		r.pcSeen = statetab.New(r.pcSigWords, 0)
+		r.sigBuf = make([]uint64, r.pcSigWords)
+	}
 	r.foldEnded = make([]uint64, r.factWords)
 	r.foldNotBegun = make([]uint64, r.factWords)
 	r.foldInProg = make([]int32, 0, len(a.procActs))
@@ -510,13 +519,17 @@ func newBatchRun(a *Analyzer, ctx context.Context, budget int64, sym bool, seed 
 // restore loads a validated checkpoint into the freshly built run: the
 // finished states, the folded facts and the pc signatures behind them are
 // imported, and the budget counters resume cumulatively. The resumed pass
-// starts over from the root with the imported states as table hits.
+// starts over from the root with the imported states as memo hits.
 func (r *batchRun) restore(ckpt *Checkpoint) error {
-	if err := r.table.Import(ckpt.finishedStates(r.a)); err != nil {
-		return err
-	}
-	if err := r.pcSeen.Import(ckpt.PcSeen); err != nil {
-		return err
+	if r.cells != nil {
+		r.cells.restore(r.a, ckpt.finishedStates(r.a), ckpt.PcSeen)
+	} else {
+		if err := r.table.Import(ckpt.finishedStates(r.a)); err != nil {
+			return err
+		}
+		if err := r.pcSeen.Import(ckpt.PcSeen); err != nil {
+			return err
+		}
 	}
 	n := len(r.a.x.Events)
 	for i := 0; i < n; i++ {
@@ -526,6 +539,18 @@ func (r *batchRun) restore(ckpt *Checkpoint) error {
 	r.expanded, r.baseExpanded = ckpt.Expanded, ckpt.Expanded
 	r.edges, r.baseEdges = ckpt.Edges, ckpt.Edges
 	return nil
+}
+
+// pcSigGeometry returns the word count of a pc signature, the pc-counter
+// prefix of a packed key (pc bits come first in packKey's layout), and the
+// mask of the pc bits in its last word.
+func (a *Analyzer) pcSigGeometry() (words int, lastMask uint64) {
+	pcBitsTotal := len(a.pc) * int(a.pcBits)
+	words = (pcBitsTotal + 63) / 64
+	if rem := uint(pcBitsTotal - (words-1)*64); rem < 64 {
+		return words, 1<<rem - 1
+	}
+	return words, ^uint64(0)
 }
 
 // pcSig extracts the pc-counter prefix of a packed key into the signature
@@ -595,26 +620,34 @@ const batchPollInterval = 16
 
 // search runs the depth-first pass from the initial state. On a resumed
 // run the pass starts over from the root; the checkpoint's finished states
-// are table hits, so only the states the interrupt left open are entered
+// are memo hits, so only the states the interrupt left open are entered
 // again.
 func (r *batchRun) search() error {
 	s := r.a
 	s.resetState()
-	s.packKey(keyExtraComplete, s.keySlot(0))
-	_, err := r.visit(0)
+	at := 0
+	if r.cells != nil {
+		at = r.cells.index(s.pc, s.ev)
+	} else {
+		s.packKey(keyExtraComplete, s.keySlot(0))
+	}
+	_, err := r.visit(0, at)
 	return err
 }
 
 // visit runs the pass below the current state — the analyzer's search
-// state, whose key (orbit-canonical under symmetry) is in keySlot(depth)
-// and which is not in the table — and returns whether it can complete.
-// Children already in the table are looked up; new ones are entered by
-// stepping the analyzer's state (under symmetry, into the child's
-// canonical representative) and unstepping on return. A sync action into
-// a completable child folds its edge facts as the child returns (under
+// state, which is not in the memo — and returns whether it can complete.
+// Over cells the state is cell at; over the table its key
+// (orbit-canonical under symmetry) is in keySlot(depth). Children already
+// in the memo are looked up; new ones are entered by stepping the
+// analyzer's state (under symmetry, into the child's canonical
+// representative) and unstepping on return. A sync action into a
+// completable child folds its edge facts as the child returns (under
 // symmetry, with the state's orbit fold). When the last child returns the
 // state is charged, stored and, when completable, its state facts fold.
-func (r *batchRun) visit(depth int) (bool, error) {
+// The layouts differ only in how a child's slot is found, read and
+// written.
+func (r *batchRun) visit(depth, at int) (bool, error) {
 	s := r.a
 	if r.entered%batchPollInterval == 0 {
 		if err := r.ctx.Err(); err != nil {
@@ -622,29 +655,38 @@ func (r *batchRun) visit(depth int) (bool, error) {
 		}
 	}
 	r.entered++
-	key := s.keySlot(depth)
+	var key, child, raw []uint64
+	if r.cells == nil {
+		key = s.keySlot(depth)
+		child = s.keySlot(depth + 1)
+		// With symmetry on, successors are patched into raw scratch and
+		// canonicalized into child before the lookup.
+		raw = child
+		if r.symm {
+			raw = s.symmRaw
+		}
+	}
 	if s.allDone() {
-		r.table.Store(key, true)
-		r.foldState(key, 0)
+		r.finish(key, at, true, 0)
 		return true, nil
 	}
 	enabled := s.appendEnabled(s.enabledSlot(depth))
-	child := s.keySlot(depth + 1)
-	// With symmetry on, successors are patched into raw scratch and
-	// canonicalized into child before the lookup.
-	raw := child
-	if r.symm {
-		raw = s.symmRaw
-	}
 	completable := false
 	var syncMask uint64
 	for _, id := range enabled {
-		s.patchChildKey(id, key, raw)
-		moved := r.symm && s.canonicalizeKey(raw, child)
-		if moved {
-			s.stats.SymmCollapses++
+		var ok, done, moved bool
+		next := at
+		if r.cells != nil {
+			next = r.cells.child(at, &s.acts[id])
+			ok, done = r.cells.lookup(next)
+		} else {
+			s.patchChildKey(id, key, raw)
+			moved = r.symm && s.canonicalizeKey(raw, child)
+			if moved {
+				s.stats.SymmCollapses++
+			}
+			ok, done = r.table.Lookup(child)
 		}
-		ok, done := r.table.Lookup(child)
 		if !done {
 			undo := s.step(id)
 			if moved {
@@ -654,7 +696,7 @@ func (r *batchRun) visit(depth int) (bool, error) {
 				s.unpackKey(child)
 			}
 			var err error
-			ok, err = r.visit(depth + 1)
+			ok, err = r.visit(depth+1, next)
 			s.unstep(id, undo)
 			if moved {
 				s.unpackKey(key)
@@ -687,18 +729,27 @@ func (r *batchRun) visit(depth int) (bool, error) {
 	}
 	r.expanded++
 	r.edges += int64(len(enabled))
-	r.table.Store(key, completable)
-	if completable {
-		r.foldState(key, syncMask)
-	}
+	r.finish(key, at, completable, syncMask)
 	return completable, nil
 }
 
-// foldState folds the facts of the finished, completable current state
-// whose key is key: its state facts once per pc signature, and, under
-// symmetry, both kinds for every orbit member (syncMask names the
-// processes whose sync action led to a completable child).
-func (r *batchRun) foldState(key []uint64, syncMask uint64) {
+// finish stores the finished current state — cell at, or key in the
+// table — and, when it is completable, folds its facts: its state facts
+// once per pc signature, and, under symmetry, both kinds for every orbit
+// member (syncMask names the processes whose sync action led to a
+// completable child).
+func (r *batchRun) finish(key []uint64, at int, completable bool, syncMask uint64) {
+	if r.cells != nil {
+		r.cells.store(at, completable)
+		if completable && r.cells.markSeen(at) {
+			r.foldStateFacts(r.a.pc)
+		}
+		return
+	}
+	r.table.Store(key, completable)
+	if !completable {
+		return
+	}
 	if r.symm {
 		r.orbit.fold(r.a, key, syncMask)
 	} else if r.pcSeen.Intern(r.pcSig(key)) {
@@ -930,8 +981,9 @@ func (o *orbitWalker) emit(s *Analyzer) {
 }
 
 // checkpoint captures the interrupted run's knowledge: the finished
-// states (every table entry is final), the facts folded from them, and
-// the budget counters.
+// states (every memo entry is final), the facts folded from them, and the
+// budget counters. A cell run exports its states and folded signatures as
+// the packed keys a hashed run would hold.
 func (r *batchRun) checkpoint() *Checkpoint {
 	c := &Checkpoint{
 		Fingerprint: r.a.fingerprint(),
@@ -940,10 +992,13 @@ func (r *batchRun) checkpoint() *Checkpoint {
 		Expanded:    r.expanded,
 		Edges:       r.edges,
 		NumEvents:   len(r.a.x.Events),
-		States:      r.table.Export(),
-		PcSeen:      r.pcSeen.Export(),
 		CanOrder:    flattenFacts(r.canOrder, r.factWords),
 		CanOverlap:  flattenFacts(r.canOverlap, r.factWords),
+	}
+	if r.cells != nil {
+		c.States, c.PcSeen = r.cells.export(r.a)
+	} else {
+		c.States, c.PcSeen = r.table.Export(), r.pcSeen.Export()
 	}
 	if r.seed != nil {
 		c.HasSeed = true
@@ -1074,17 +1129,25 @@ func (r *batchRun) completeResult(kinds []RelKind) *MatrixResult {
 	}
 }
 
-// handOverMemo installs the finished state table as the analyzer's
-// persistent completion memo (batch keys use the canComplete
-// discriminator byte), so per-pair queries issued after a Matrix call
-// start with the whole reachable space memoized. The table replaces the
-// previous memo instead of merging into it: it holds every reachable
-// state under the run's keys, and those include every key a per-pair
-// query memoizes (orbit-canonical keys when the analyzer reduces
-// symmetry, raw keys otherwise).
+// handOverMemo installs the finished memo as the analyzer's persistent
+// completion memo (batch keys use the canComplete discriminator byte), so
+// per-pair queries issued after a Matrix call start with the whole
+// reachable space memoized. The memo replaces the previous one instead of
+// merging into it: it holds every reachable state under the run's keys,
+// and those include every key a per-pair query memoizes (orbit-canonical
+// keys when the analyzer reduces symmetry, raw keys otherwise). A cell
+// memo stays in cells until the first per-pair query's completion search
+// converts it, so the Matrix path never pays for the conversion.
 func (r *batchRun) handOverMemo() {
-	if r.a.opts.DisableMemo {
+	a := r.a
+	if a.opts.DisableMemo {
 		return
 	}
-	r.a.memoComplete = r.table
+	if r.cells != nil {
+		a.cells = r.cells
+		a.memoComplete.Reset()
+		return
+	}
+	a.cells = nil
+	a.memoComplete = r.table
 }

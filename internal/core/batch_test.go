@@ -16,7 +16,7 @@ import (
 
 // requireMatrixEqualsSequential asserts that Matrix produces matrices
 // bit-identical to independent per-pair Relation calls on a fresh
-// analyzer.
+// analyzer, on both memo layouts.
 func requireMatrixEqualsSequential(t *testing.T, tag string, x *model.Execution, opts Options) {
 	t.Helper()
 	want := map[RelKind]*model.Relation{}
@@ -28,18 +28,20 @@ func requireMatrixEqualsSequential(t *testing.T, tag string, x *model.Execution,
 		}
 		want[kind] = r
 	}
-	a := mustAnalyzer(t, x, opts)
-	got, err := a.Matrix(context.Background(), nil, MatrixOpts{})
-	if err != nil {
-		t.Fatalf("%s: Matrix: %v", tag, err)
-	}
-	if !got.Complete {
-		t.Fatalf("%s: Matrix incomplete with no interruption", tag)
-	}
-	for _, kind := range AllRelKinds {
-		if !got.Relations[kind].Equal(want[kind]) {
-			t.Errorf("%s: Matrix %s differs from per-pair:\nbatch:\n%s\nsequential:\n%s",
-				tag, kind, got.Relations[kind].FormatMatrix(x), want[kind].FormatMatrix(x))
+	for _, l := range layouts {
+		a := mustAnalyzer(t, x, opts).withCellLimit(l.maxCells)
+		got, err := a.Matrix(context.Background(), nil, MatrixOpts{})
+		if err != nil {
+			t.Fatalf("%s %s: Matrix: %v", tag, l.name, err)
+		}
+		if !got.Complete {
+			t.Fatalf("%s %s: Matrix incomplete with no interruption", tag, l.name)
+		}
+		for _, kind := range AllRelKinds {
+			if !got.Relations[kind].Equal(want[kind]) {
+				t.Errorf("%s %s: Matrix %s differs from per-pair:\nbatch:\n%s\nsequential:\n%s",
+					tag, l.name, kind, got.Relations[kind].FormatMatrix(x), want[kind].FormatMatrix(x))
+			}
 		}
 	}
 }
@@ -59,7 +61,8 @@ func TestMatrixMatchesSequentialRandom(t *testing.T) {
 
 // TestMatrixMatchesBruteForce pins the batch derivation directly against
 // exhaustive enumeration of Table 1's definitions (not just against the
-// per-pair engine, whose acceptance logic the batch partly shares).
+// per-pair engine, whose acceptance logic the batch partly shares), on
+// both memo layouts.
 func TestMatrixMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(908))
 	const trials = 15
@@ -69,15 +72,17 @@ func TestMatrixMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: brute: %v", trial, err)
 		}
-		a := mustAnalyzer(t, x, Options{})
-		got, err := a.Matrix(context.Background(), nil, MatrixOpts{})
-		if err != nil {
-			t.Fatalf("trial %d: Matrix: %v", trial, err)
-		}
-		for _, kind := range AllRelKinds {
-			if !got.Relations[kind].Equal(brute.Relations[kind]) {
-				t.Errorf("trial %d: Matrix %s differs from brute force:\nbatch:\n%s\nbrute:\n%s",
-					trial, kind, got.Relations[kind].FormatMatrix(x), brute.Relations[kind].FormatMatrix(x))
+		for _, l := range layouts {
+			a := mustAnalyzer(t, x, Options{}).withCellLimit(l.maxCells)
+			got, err := a.Matrix(context.Background(), nil, MatrixOpts{})
+			if err != nil {
+				t.Fatalf("trial %d %s: Matrix: %v", trial, l.name, err)
+			}
+			for _, kind := range AllRelKinds {
+				if !got.Relations[kind].Equal(brute.Relations[kind]) {
+					t.Errorf("trial %d %s: Matrix %s differs from brute force:\nbatch:\n%s\nbrute:\n%s",
+						trial, l.name, kind, got.Relations[kind].FormatMatrix(x), brute.Relations[kind].FormatMatrix(x))
+				}
 			}
 		}
 	}
@@ -220,7 +225,7 @@ func TestMatrixWarmStartsCompletionMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	terminal := 0
-	a.memoComplete.Range(func(key []uint64, _ bool) bool {
+	a.rangeMemo(func(key []uint64, _ bool) bool {
 		a.unpackKey(key)
 		if a.allDone() {
 			terminal++

@@ -64,6 +64,14 @@ func badCheckpoint(format string, args ...any) error {
 // resume: their entries are imported only where the bit is final (see
 // finishedStates).
 //
+// The format does not depend on the memo layout the pass ran over: a pass
+// over cells (cells.go) exports its finished states and folded signatures
+// as the packed keys a hashed pass holds, and either layout resumes either
+// kind. A resume bounds-checks every key before it imports one, rejecting
+// with ErrBadCheckpoint a pc field past its process's length, a state
+// key's discriminator byte other than the completion memo's, and any bit
+// set past a key's fields.
+//
 // The Fingerprint binds the checkpoint to the analyzer's preprocessed
 // execution structure and feasibility notion (IgnoreData); resuming on a
 // different execution is rejected. Checkpoints JSON-encode as a base64
@@ -264,10 +272,57 @@ func (c *Checkpoint) validateFor(a *Analyzer) error {
 	if c.States.Words != a.keyWords {
 		return badCheckpoint("checkpoint keys are %d words, analyzer packs %d", c.States.Words, a.keyWords)
 	}
+	if want, _ := a.pcSigGeometry(); c.PcSeen.Words != want {
+		return badCheckpoint("checkpoint pc signatures are %d words, analyzer packs %d", c.PcSeen.Words, want)
+	}
+	if err := a.checkKeys(c.States, true); err != nil {
+		return err
+	}
+	if err := a.checkKeys(c.PcSeen, false); err != nil {
+		return err
+	}
 	factWords := (c.NumEvents + 63) / 64
 	if len(c.CanOrder) != c.NumEvents*factWords || len(c.CanOverlap) != c.NumEvents*factWords {
 		return badCheckpoint("checkpoint fact matrices have %d/%d words, want %d",
 			len(c.CanOrder), len(c.CanOverlap), c.NumEvents*factWords)
+	}
+	return nil
+}
+
+// checkKeys rejects a snapshot of state keys (or, with state false, of pc
+// signatures) holding a key that no state of a packs to: a pc field beyond
+// its process's length, a state key whose discriminator byte is not
+// keyExtraComplete, or a bit set past the key's fields. A hashed pass
+// would hold such a key as a dead entry, but a cell pass would index past
+// its cells.
+func (a *Analyzer) checkKeys(snap *statetab.Snapshot, state bool) error {
+	what, end := "pc-signature", uint(len(a.procActs))*a.pcBits
+	if state {
+		what, end = "state", end+uint(a.evBits)
+	}
+	for i := 0; i < snap.Entries; i++ {
+		key := snap.Key(i)
+		for p, ids := range a.procActs {
+			if pc := readBits(key, uint(p)*a.pcBits, a.pcBits); pc > uint64(len(ids)) {
+				return badCheckpoint("%s key %d: process %d at position %d of %d", what, i, p, pc, len(ids))
+			}
+		}
+		rest := end
+		if state {
+			if x := readBits(key, end, 8); x != keyExtraComplete {
+				return badCheckpoint("%s key %d: discriminator byte %#x, want %#x", what, i, x, keyExtraComplete)
+			}
+			rest += 8
+		}
+		for w := int(rest >> 6); w < len(key); w++ {
+			word := key[w]
+			if w == int(rest>>6) {
+				word >>= rest & 63
+			}
+			if word != 0 {
+				return badCheckpoint("%s key %d: bits set past its fields", what, i)
+			}
+		}
 	}
 	return nil
 }

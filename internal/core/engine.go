@@ -87,6 +87,14 @@ type Options struct {
 // long as the analyzer — per-query monitor memos are created and dropped
 // per query). The occupancy fields make memo-table pressure observable in
 // production: the eventorderd service exports them on /metrics.
+//
+// After a complete Matrix pass over cells (a position-addressed memo, used
+// when the pass is not symmetric and the product of the per-process
+// position counts and 2^(event variables) is at most 2^20) the memo
+// fields describe the cells until a per-pair query converts them:
+// CompleteMemo counts the finished states, MemoBytes the cell array (two
+// bits per cell) plus the fold bitset, MemoLoad is finished states per
+// cell, and MemoGrows is 0.
 type Stats struct {
 	Nodes        int64   // search nodes expanded across all queries
 	Edges        int64   // successor transitions explored
@@ -161,8 +169,14 @@ type Analyzer struct {
 
 	// memoComplete caches "a complete valid interleaving exists from this
 	// state"; it is query-independent and persists across queries. Keys are
-	// the packed state keys below.
+	// the packed state keys below. After a complete Matrix pass over cells,
+	// cells holds the completion memo instead, until the first completion
+	// search (canComplete) converts it into memoComplete.
 	memoComplete *statetab.Table
+	cells        *cellMemo
+	// maxCells is the largest cell count a Matrix pass runs over cells:
+	// cellLimit, which core's tests lower to run the hashed pass.
+	maxCells int
 
 	// Packed state keys: the search state (pc, ev, extra) bit-packed into
 	// keyWords uint64 words — pcBits bits per program counter, one bit per
@@ -263,7 +277,7 @@ func newAnalyzer(x *model.Execution, opts Options, needOrder bool) (*Analyzer, e
 		}
 		opts.IgnoreData = true // no observed order → no data constraints yet
 	}
-	a := &Analyzer{x: x, opts: opts}
+	a := &Analyzer{x: x, opts: opts, maxCells: cellLimit}
 
 	// Dense semaphore and event-variable indices.
 	semIdx := map[string]int32{}
@@ -442,6 +456,9 @@ func (a *Analyzer) NumActions() int { return len(a.acts) }
 func (a *Analyzer) Stats() Stats {
 	s := a.stats
 	ts := a.memoComplete.Stats()
+	if a.cells != nil {
+		ts = a.cells.stats()
+	}
 	s.CompleteMemo = ts.Entries
 	s.MemoBytes = ts.Bytes
 	s.MemoLoad = ts.Load
@@ -456,7 +473,10 @@ func (a *Analyzer) ResetStats() { a.stats = Stats{} }
 
 // DropMemo discards the persistent completion memo (used by benchmarks to
 // measure cold-start cost).
-func (a *Analyzer) DropMemo() { a.memoComplete.Reset() }
+func (a *Analyzer) DropMemo() {
+	a.cells = nil
+	a.memoComplete.Reset()
+}
 
 // resetState rewinds the mutable search state to the initial configuration.
 func (a *Analyzer) resetState() {
@@ -729,6 +749,11 @@ func (a *Analyzer) canComplete(budget *int64, depth int) (bool, error) {
 	}
 	var key []uint64
 	if !a.opts.DisableMemo {
+		if a.cells != nil {
+			// The first completion search after a Matrix pass over cells
+			// converts them into the table it memoizes in.
+			a.memoComplete, a.cells = a.cells.table(a), nil
+		}
 		key = a.keySlot(depth)
 		if a.symm {
 			// Memoize under the orbit-canonical key: completability is

@@ -4,7 +4,8 @@ import "eventorder/internal/model"
 
 // Hooks for the external tests in must_test.go, which live in package
 // core_test because they draw executions from internal/gen, an importer of
-// this package.
+// this package, and for core's own tests that run the batch pass on both
+// memo layouts.
 
 // relQuery builds the pair query of kind's search primitive.
 func (a *Analyzer) relQuery(kind RelKind, ea, eb model.EventID) (*pairQuery, error) {
@@ -60,4 +61,30 @@ func (a *Analyzer) SupplyEdges() int {
 func (a *Analyzer) DropPrecheck() {
 	a.mustSeen, a.mustStack, a.mustEpoch = nil, nil, 0
 	a.supplySpan, a.supplyPred = nil, nil
+}
+
+// layouts names the batch pass's two memo layouts by the cell limit that
+// selects them. Every testdata and random execution fits cellLimit, so the
+// hashed pass runs on them only with the limit lowered to 0.
+var layouts = []struct {
+	name     string
+	maxCells int
+}{{"cells", cellLimit}, {"hashed", 0}}
+
+// withCellLimit sets the largest cell count a's Matrix passes run over
+// cells and returns a.
+func (a *Analyzer) withCellLimit(maxCells int) *Analyzer {
+	a.maxCells = maxCells
+	return a
+}
+
+// rangeMemo calls fn for every entry of the completion memo, in whichever
+// layout holds it, until fn returns false. The key slice is reused between
+// calls.
+func (a *Analyzer) rangeMemo(fn func(key []uint64, completable bool) bool) {
+	if a.cells != nil {
+		a.cells.rangeStates(a, fn)
+		return
+	}
+	a.memoComplete.Range(fn)
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"eventorder/internal/model"
+	"eventorder/internal/statetab"
 )
 
 // resumeToCompletion drives an interrupted analysis to its end: starting
@@ -56,31 +59,35 @@ func resumeToCompletion(t *testing.T, x *model.Execution, first *MatrixResult, o
 // at least one more state, and the loop may take at most the one-shot
 // run's Expanded plus one steps: a resume that charged re-entered open
 // states again would stall. Traces under 100 states also resume with a
-// budget step of 1, one finished state per attempt.
+// budget step of 1, one finished state per attempt. Every pass runs on
+// both memo layouts.
 func requireResumeIdentity(t *testing.T, tag string, x *model.Execution, opts Options) {
 	t.Helper()
-	oneShot, err := mustAnalyzer(t, x, opts).Matrix(context.Background(), nil, MatrixOpts{})
-	if err != nil {
-		t.Fatalf("%s: one-shot: %v", tag, err)
-	}
-	if !oneShot.Complete {
-		t.Fatalf("%s: one-shot run incomplete", tag)
-	}
-	steps := []int64{1 + oneShot.Expanded/7}
-	if oneShot.Expanded < 100 {
-		steps = append(steps, 1)
-	}
-	for _, step := range steps {
-		requireResumeSteps(t, fmt.Sprintf("%s step=%d", tag, step), x, opts, oneShot, step)
+	for _, l := range layouts {
+		oneShot, err := mustAnalyzer(t, x, opts).withCellLimit(l.maxCells).Matrix(context.Background(), nil, MatrixOpts{})
+		if err != nil {
+			t.Fatalf("%s %s: one-shot: %v", tag, l.name, err)
+		}
+		if !oneShot.Complete {
+			t.Fatalf("%s %s: one-shot run incomplete", tag, l.name)
+		}
+		steps := []int64{1 + oneShot.Expanded/7}
+		if oneShot.Expanded < 100 {
+			steps = append(steps, 1)
+		}
+		for _, step := range steps {
+			requireResumeSteps(t, fmt.Sprintf("%s %s step=%d", tag, l.name, step), x, opts, l.maxCells, oneShot, step)
+		}
 	}
 }
 
 // requireResumeSteps runs one pass of requireResumeIdentity: budget 1 forces
 // an interrupt at the very first finished state, and each resume step adds
-// step states of budget, so the run crosses many checkpoints.
-func requireResumeSteps(t *testing.T, tag string, x *model.Execution, opts Options, oneShot *MatrixResult, step int64) {
+// step states of budget, so the run crosses many checkpoints. Every
+// analyzer runs with cell limit maxCells.
+func requireResumeSteps(t *testing.T, tag string, x *model.Execution, opts Options, maxCells int, oneShot *MatrixResult, step int64) {
 	t.Helper()
-	first, err := mustAnalyzer(t, x, opts).Matrix(context.Background(), nil,
+	first, err := mustAnalyzer(t, x, opts).withCellLimit(maxCells).Matrix(context.Background(), nil,
 		MatrixOpts{Budget: 1})
 	if err != nil {
 		t.Fatalf("%s: budget-1 run: %v", tag, err)
@@ -126,7 +133,7 @@ func requireResumeSteps(t *testing.T, tag string, x *model.Execution, opts Optio
 		if err != nil {
 			t.Fatalf("%s: decode: %v", tag, err)
 		}
-		a := mustAnalyzer(t, x, opts)
+		a := mustAnalyzer(t, x, opts).withCellLimit(maxCells)
 		cur, err = a.Matrix(context.Background(), nil, MatrixOpts{
 			Budget: ckpt.Expanded + step, Resume: ckpt,
 		})
@@ -308,19 +315,12 @@ func TestResumeIdentityPOROff(t *testing.T) {
 // with sleep-set reduction cut mid-forward-sweep on burst.evo
 // (testdata/burst_por_forward.ckpt, committed as EncodeString output).
 // Its States carry per-state sleep masks in their aux words, and gob
-// skips its POR flag. Resumed to completion it must be bit-identical to a
-// one-shot Matrix, and the memo it hands over must answer per-pair
-// queries exactly.
+// skips its POR flag. Resumed to completion on each memo layout it must be
+// bit-identical to a one-shot Matrix, and the memo it hands over must
+// answer per-pair queries exactly.
 func TestResumeIdentityLegacyPORCheckpoint(t *testing.T) {
 	x := loadTrace(t, "burst.evo")
-	enc, err := os.ReadFile(filepath.Join("testdata", "burst_por_forward.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := DecodeCheckpointString(strings.TrimSpace(string(enc)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckpt := loadLegacyCheckpoint(t, "burst_por_forward.ckpt")
 	if ckpt.Phase != ckPhaseForward {
 		t.Fatalf("legacy checkpoint phase %d, want forward", ckpt.Phase)
 	}
@@ -337,39 +337,38 @@ func TestResumeIdentityLegacyPORCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := mustAnalyzer(t, x, Options{})
-	res, err := a.Matrix(context.Background(), nil, MatrixOpts{Resume: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Complete {
-		t.Fatalf("unbudgeted resume stopped early: %v", res.Cause)
-	}
-	warm, err := a.AllRelations(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range AllRelKinds {
-		if !res.Relations[kind].Equal(oneShot.Relations[kind]) {
-			t.Errorf("%s: resumed legacy checkpoint differs from one-shot", kind)
+	for _, l := range layouts {
+		a := mustAnalyzer(t, x, Options{}).withCellLimit(l.maxCells)
+		res, err := a.Matrix(context.Background(), nil, MatrixOpts{Resume: ckpt})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !warm[kind].Equal(oneShot.Relations[kind]) {
-			t.Errorf("%s: per-pair after the legacy resume differs from one-shot", kind)
+		if !res.Complete {
+			t.Fatalf("%s: unbudgeted resume stopped early: %v", l.name, res.Cause)
+		}
+		if (a.cells != nil) != (l.maxCells > 0) {
+			t.Fatalf("%s: resume handed over cells=%v", l.name, a.cells != nil)
+		}
+		warm, err := a.AllRelations(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range AllRelKinds {
+			if !res.Relations[kind].Equal(oneShot.Relations[kind]) {
+				t.Errorf("%s: %s: resumed legacy checkpoint differs from one-shot", l.name, kind)
+			}
+			if !warm[kind].Equal(oneShot.Relations[kind]) {
+				t.Errorf("%s: %s: per-pair after the legacy resume differs from one-shot", l.name, kind)
+			}
 		}
 	}
 }
 
-// TestResumeIdentityLegacyBackwardCheckpoint resumes a checkpoint that a
-// build with the two level sweeps cut in the middle of the backward sweep
-// on burst.evo (testdata/burst_backward.ckpt, committed as EncodeString
-// output): every state is interned, the levels above NextLevel are
-// settled, and NextLevel itself is part done, so its entries hold both
-// final true bits and unsettled false ones. Resumed to completion it must
-// be bit-identical to a one-shot Matrix and hand over the same memo, entry
-// for entry, and the memo must answer per-pair queries exactly.
-func TestResumeIdentityLegacyBackwardCheckpoint(t *testing.T) {
-	x := loadTrace(t, "burst.evo")
-	enc, err := os.ReadFile(filepath.Join("testdata", "burst_backward.ckpt"))
+// loadLegacyCheckpoint decodes a committed checkpoint fixture from
+// testdata.
+func loadLegacyCheckpoint(t *testing.T, name string) *Checkpoint {
+	t.Helper()
+	enc, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,13 +376,28 @@ func TestResumeIdentityLegacyBackwardCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ckpt
+}
+
+// TestResumeIdentityLegacyBackwardCheckpoint resumes a checkpoint that a
+// build with the two level sweeps cut in the middle of the backward sweep
+// on burst.evo (testdata/burst_backward.ckpt, committed as EncodeString
+// output): every state is interned, the levels above NextLevel are
+// settled, and NextLevel itself is part done, so its entries hold both
+// final true bits and unsettled false ones. Resumed to completion on each
+// memo layout it must be bit-identical to a one-shot Matrix and hand over
+// the same memo, entry for entry, and the memo must answer per-pair
+// queries exactly.
+func TestResumeIdentityLegacyBackwardCheckpoint(t *testing.T) {
+	x := loadTrace(t, "burst.evo")
+	ckpt := loadLegacyCheckpoint(t, "burst_backward.ckpt")
 	if ckpt.Phase != ckPhaseBackward {
 		t.Fatalf("legacy checkpoint phase %d, want backward", ckpt.Phase)
 	}
-	a := mustAnalyzer(t, x, Options{})
+	probe := mustAnalyzer(t, x, Options{})
 	var atLevel [2]int
 	for i := 0; i < ckpt.States.Entries; i++ {
-		if a.keyLevel(ckpt.States.Key(i)) == ckpt.NextLevel {
+		if probe.keyLevel(ckpt.States.Key(i)) == ckpt.NextLevel {
 			if ckpt.States.Val(i) {
 				atLevel[1]++
 			} else {
@@ -399,33 +413,111 @@ func TestResumeIdentityLegacyBackwardCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Matrix(context.Background(), nil, MatrixOpts{Resume: ckpt})
-	if err != nil {
-		t.Fatal(err)
+	want := memoEntries(oneShotA)
+	if len(want) == 0 {
+		t.Fatal("one-shot run handed over an empty memo")
 	}
-	if !res.Complete {
-		t.Fatalf("unbudgeted resume stopped early: %v", res.Cause)
-	}
-	if got, want := a.Stats().CompleteMemo, oneShotA.Stats().CompleteMemo; got != want {
-		t.Errorf("resumed memo holds %d states, one-shot %d", got, want)
-	}
-	oneShotA.memoComplete.Range(func(key []uint64, want bool) bool {
-		if got, ok := a.memoComplete.Lookup(key); !ok || got != want {
-			t.Errorf("resumed memo has (%v, %v) for a state the one-shot memo holds as %v", got, ok, want)
-			return false
+	for _, l := range layouts {
+		a := mustAnalyzer(t, x, Options{}).withCellLimit(l.maxCells)
+		res, err := a.Matrix(context.Background(), nil, MatrixOpts{Resume: ckpt})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !res.Complete {
+			t.Fatalf("%s: unbudgeted resume stopped early: %v", l.name, res.Cause)
+		}
+		if got := a.Stats().CompleteMemo; got != len(want) {
+			t.Errorf("%s: resumed memo holds %d states, one-shot %d", l.name, got, len(want))
+		}
+		if got := memoEntries(a); !maps.Equal(got, want) {
+			t.Errorf("%s: resumed memo differs from the one-shot memo", l.name)
+		}
+		warm, err := a.AllRelations(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range AllRelKinds {
+			if !res.Relations[kind].Equal(oneShot.Relations[kind]) {
+				t.Errorf("%s: %s: resumed legacy checkpoint differs from one-shot", l.name, kind)
+			}
+			if !warm[kind].Equal(oneShot.Relations[kind]) {
+				t.Errorf("%s: %s: per-pair after the legacy resume differs from one-shot", l.name, kind)
+			}
+		}
+	}
+}
+
+// memoEntries returns a's completion memo as a map from packed key to
+// completability.
+func memoEntries(a *Analyzer) map[string]bool {
+	out := map[string]bool{}
+	a.rangeMemo(func(key []uint64, v bool) bool {
+		out[fmt.Sprint(key)] = v
 		return true
 	})
-	warm, err := a.AllRelations(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// snapshotEntries returns a checkpoint snapshot's entries as a map from
+// key to value bit.
+func snapshotEntries(s *statetab.Snapshot) map[string]bool {
+	out := make(map[string]bool, s.Entries)
+	for i := 0; i < s.Entries; i++ {
+		out[fmt.Sprint(s.Key(i))] = s.Val(i)
 	}
-	for _, kind := range AllRelKinds {
-		if !res.Relations[kind].Equal(oneShot.Relations[kind]) {
-			t.Errorf("%s: resumed legacy checkpoint differs from one-shot", kind)
+	return out
+}
+
+// TestResumeIdentityAcrossLayouts interrupts one execution at the same
+// budgets on both memo layouts and requires the two checkpoints to hold the
+// same finished states with the same bits, the same folded pc signatures
+// and equal fact rows. Each checkpoint then resumes on the other layout to
+// a matrix bit-identical to the one-shot run.
+func TestResumeIdentityAcrossLayouts(t *testing.T) {
+	for _, name := range []string{"burst.evo", "figure1.evo", "pipeline.evo"} {
+		x := loadTrace(t, name)
+		oneShot, err := mustAnalyzer(t, x, Options{}).Matrix(context.Background(), nil, MatrixOpts{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !warm[kind].Equal(oneShot.Relations[kind]) {
-			t.Errorf("%s: per-pair after the legacy resume differs from one-shot", kind)
+		for _, budget := range []int64{1, oneShot.Expanded / 3, 2 * oneShot.Expanded / 3} {
+			tag := fmt.Sprintf("%s budget=%d", name, budget)
+			var cut [2]*MatrixResult
+			for i, l := range layouts {
+				a := mustAnalyzer(t, x, Options{}).withCellLimit(l.maxCells)
+				if cut[i], err = a.Matrix(context.Background(), nil, MatrixOpts{Budget: budget}); err != nil {
+					t.Fatal(err)
+				}
+				if cut[i].Complete {
+					t.Fatalf("%s %s: run completed; nothing to compare", tag, l.name)
+				}
+			}
+			cells, hashed := cut[0].Checkpoint, cut[1].Checkpoint
+			if !maps.Equal(snapshotEntries(cells.States), snapshotEntries(hashed.States)) {
+				t.Errorf("%s: the layouts' checkpoints hold different states", tag)
+			}
+			if !maps.Equal(snapshotEntries(cells.PcSeen), snapshotEntries(hashed.PcSeen)) {
+				t.Errorf("%s: the layouts' checkpoints hold different pc signatures", tag)
+			}
+			if !slices.Equal(cells.CanOrder, hashed.CanOrder) || !slices.Equal(cells.CanOverlap, hashed.CanOverlap) {
+				t.Errorf("%s: the layouts' checkpoints hold different fact rows", tag)
+			}
+			if cells.Expanded != hashed.Expanded || cells.Edges != hashed.Edges {
+				t.Errorf("%s: counters cells %d/%d, hashed %d/%d", tag, cells.Expanded, cells.Edges, hashed.Expanded, hashed.Edges)
+			}
+			for i, l := range layouts {
+				other := layouts[1-i]
+				res, err := mustAnalyzer(t, x, Options{}).withCellLimit(other.maxCells).Matrix(context.Background(), nil,
+					MatrixOpts{Resume: cut[i].Checkpoint})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, kind := range AllRelKinds {
+					if !res.Relations[kind].Equal(oneShot.Relations[kind]) {
+						t.Errorf("%s: %s checkpoint resumed over %s: %s differs from one-shot", tag, l.name, other.name, kind)
+					}
+				}
+			}
 		}
 	}
 }

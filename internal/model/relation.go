@@ -13,16 +13,12 @@ import (
 type Relation struct {
 	Name string
 	n    int
-	rows []*bitset.Set
+	rows []bitset.Set
 }
 
 // NewRelation returns an empty relation over n events.
 func NewRelation(name string, n int) *Relation {
-	r := &Relation{Name: name, n: n, rows: make([]*bitset.Set, n)}
-	for i := range r.rows {
-		r.rows[i] = bitset.New(n)
-	}
-	return r
+	return &Relation{Name: name, n: n, rows: bitset.NewRows(n, n)}
 }
 
 // N returns the number of events the relation ranges over.
@@ -38,13 +34,13 @@ func (r *Relation) Unset(a, b EventID) { r.rows[a].Clear(int(b)) }
 func (r *Relation) Has(a, b EventID) bool { return r.rows[a].Has(int(b)) }
 
 // Row returns the bitset of successors of a (do not modify).
-func (r *Relation) Row(a EventID) *bitset.Set { return r.rows[a] }
+func (r *Relation) Row(a EventID) *bitset.Set { return &r.rows[a] }
 
 // Count returns the number of pairs in the relation.
 func (r *Relation) Count() int {
 	total := 0
-	for _, row := range r.rows {
-		total += row.Count()
+	for i := range r.rows {
+		total += r.rows[i].Count()
 	}
 	return total
 }
@@ -64,7 +60,7 @@ func (r *Relation) Pairs() [][2]EventID {
 func (r *Relation) Clone(name string) *Relation {
 	c := NewRelation(name, r.n)
 	for i := range r.rows {
-		c.rows[i].Copy(r.rows[i])
+		c.rows[i].Copy(&r.rows[i])
 	}
 	return c
 }
@@ -75,7 +71,7 @@ func (r *Relation) Equal(o *Relation) bool {
 		return false
 	}
 	for i := range r.rows {
-		if !r.rows[i].Equal(o.rows[i]) {
+		if !r.rows[i].Equal(&o.rows[i]) {
 			return false
 		}
 	}
@@ -88,7 +84,7 @@ func (r *Relation) SubsetOf(o *Relation) bool {
 		return false
 	}
 	for i := range r.rows {
-		if !r.rows[i].SubsetOf(o.rows[i]) {
+		if !r.rows[i].SubsetOf(&o.rows[i]) {
 			return false
 		}
 	}
@@ -101,7 +97,7 @@ func (r *Relation) Union(o *Relation) {
 		panic("model: relation size mismatch")
 	}
 	for i := range r.rows {
-		r.rows[i].Or(o.rows[i])
+		r.rows[i].Or(&o.rows[i])
 	}
 }
 
@@ -111,7 +107,7 @@ func (r *Relation) Intersect(o *Relation) {
 		panic("model: relation size mismatch")
 	}
 	for i := range r.rows {
-		r.rows[i].And(o.rows[i])
+		r.rows[i].And(&o.rows[i])
 	}
 }
 
@@ -122,7 +118,7 @@ func (r *Relation) Diff(name string, o *Relation) *Relation {
 	}
 	d := r.Clone(name)
 	for i := range d.rows {
-		d.rows[i].AndNot(o.rows[i])
+		d.rows[i].AndNot(&o.rows[i])
 	}
 	return d
 }
@@ -140,7 +136,7 @@ func (r *Relation) Invert(name string) *Relation {
 // bitset rows: O(n²) word operations per pivot).
 func (r *Relation) TransitiveClose() {
 	for k := 0; k < r.n; k++ {
-		rowK := r.rows[k]
+		rowK := &r.rows[k]
 		for i := 0; i < r.n; i++ {
 			if i != k && r.rows[i].Has(k) {
 				r.rows[i].Or(rowK)
@@ -154,7 +150,7 @@ func (r *Relation) IsTransitive() bool {
 	for a := 0; a < r.n; a++ {
 		ok := true
 		r.rows[a].ForEach(func(b int) {
-			if !r.rows[b].SubsetOf(r.rows[a]) {
+			if !r.rows[b].SubsetOf(&r.rows[a]) {
 				ok = false
 			}
 		})

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"eventorder/internal/core"
 	"eventorder/internal/gen"
 	"eventorder/internal/journal"
 	"eventorder/internal/vfs"
@@ -534,6 +535,46 @@ func TestWedgedJournalRefusesAsync(t *testing.T) {
 	sync := map[string]any{"program": figure1Program(t), "rel": "mhb", "a": "lp", "b": "rp"}
 	if resp, body := postJSON(t, ts.URL+"/v1/analyze", sync); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync request on wedged journal: %d %s, want 200", resp.StatusCode, body)
+	}
+}
+
+// TestResumeRejectsOutOfRangeKey422: a well-formed checkpoint of burst.evo
+// with one state key changed so that its first process sits past its last
+// action decodes fine, but resuming it answers 422, and the unchanged
+// checkpoint still resumes.
+func TestResumeRejectsOutOfRangeKey422(t *testing.T) {
+	burst := readTestdataProgram(t, "burst.evo")
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{
+		"program": burst, "all": true, "budget": 100, "tiers": -1,
+	})
+	var mr MatrixResult
+	if err := json.Unmarshal(envelopeOf(t, resp, body).Result, &mr); err != nil {
+		t.Fatal(err)
+	}
+	if mr.Complete || mr.Checkpoint == nil || mr.Checkpoint.States.Entries == 0 {
+		t.Fatalf("budget-100 run should be partial with finished states (complete=%t)", mr.Complete)
+	}
+	good, err := mr.Checkpoint.EncodeString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := core.DecodeCheckpointString(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.States.Keys[0] = ^uint64(0)
+	enc, err := bad.EncodeString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := map[string]any{"program": burst, "all": true, "resume": enc}
+	if resp, body := postJSON(t, ts.URL+"/v1/analyze", req); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("out-of-range key: status %d (%s), want 422", resp.StatusCode, body)
+	}
+	req["resume"] = good
+	if resp, body := postJSON(t, ts.URL+"/v1/analyze", req); resp.StatusCode != http.StatusOK {
+		t.Errorf("unchanged checkpoint: status %d (%s), want 200", resp.StatusCode, body)
 	}
 }
 

@@ -46,7 +46,10 @@ const (
 	MetricLatency = "latency_seconds"
 	// MetricMemoEntries gauges the completion-memo entries of the most
 	// recently finished search job (each job builds a private analyzer, so
-	// this is a per-job sample, not a global sum).
+	// this is a per-job sample, not a global sum). A matrix job whose pass
+	// ran over position-addressed cells reports them as core.Stats does:
+	// finished states, the cells' and fold bitset's bytes, finished states
+	// per cell, and no growth.
 	MetricMemoEntries = "memo_entries"
 	// MetricMemoBytes gauges the heap bytes held by that job's completion
 	// memo arrays.

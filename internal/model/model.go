@@ -18,6 +18,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // ProcID identifies a process within an execution (dense, 0-based).
@@ -248,15 +249,32 @@ func (x *Execution) String() string {
 
 // EventName renders a short human-readable description of event id.
 func (x *Execution) EventName(id EventID) string {
+	var buf [64]byte
+	return string(x.AppendEventName(buf[:0], id))
+}
+
+// AppendEventName appends EventName's description of event id to dst: the
+// label and a colon when the event has one, then "e<id>[<proc> <kind>(<obj>)]"
+// for a synchronization event or "e<id>[<proc> compute×<ops>]" for a
+// computation event.
+func (x *Execution) AppendEventName(dst []byte, id EventID) []byte {
 	e := &x.Events[id]
-	proc := x.Procs[e.Proc].Name
-	base := ""
-	switch {
-	case e.Label != "":
-		base = e.Label + ":"
+	if e.Label != "" {
+		dst = append(dst, e.Label...)
+		dst = append(dst, ':')
 	}
+	dst = append(dst, 'e')
+	dst = strconv.AppendInt(dst, int64(id), 10)
+	dst = append(dst, '[')
+	dst = append(dst, x.Procs[e.Proc].Name...)
 	if e.IsSync() {
-		return fmt.Sprintf("%se%d[%s %s(%s)]", base, id, proc, e.Kind, e.Obj)
+		dst = append(dst, ' ')
+		dst = append(dst, e.Kind.String()...)
+		dst = append(dst, '(')
+		dst = append(dst, e.Obj...)
+		return append(dst, ')', ']')
 	}
-	return fmt.Sprintf("%se%d[%s compute×%d]", base, id, proc, len(e.Ops))
+	dst = append(dst, " compute×"...)
+	dst = strconv.AppendInt(dst, int64(len(e.Ops)), 10)
+	return append(dst, ']')
 }

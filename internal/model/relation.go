@@ -36,6 +36,20 @@ func (r *Relation) Has(a, b EventID) bool { return r.rows[a].Has(int(b)) }
 // Row returns the bitset of successors of a (do not modify).
 func (r *Relation) Row(a EventID) *bitset.Set { return &r.rows[a] }
 
+// SetRow overwrites the successors of a with the bits of words, which must
+// hold (N+63)/64 words: b becomes a successor iff bit b%64 of words[b/64]
+// is set. Bits at or past N are dropped.
+func (r *Relation) SetRow(a EventID, words []uint64) {
+	row := r.rows[a].Words()
+	if len(words) != len(row) {
+		panic("model: row length mismatch")
+	}
+	copy(row, words)
+	if rem := r.n % 64; rem != 0 {
+		row[len(row)-1] &= 1<<uint(rem) - 1
+	}
+}
+
 // Count returns the number of pairs in the relation.
 func (r *Relation) Count() int {
 	total := 0

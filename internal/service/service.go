@@ -677,6 +677,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeEnvelope writes e as a 200 response, encoded by appendEnvelope.
+func writeEnvelope(w http.ResponseWriter, e *Envelope) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	buf := getEncodeBuf()
+	*buf = appendEnvelope(*buf, e)
+	_, _ = w.Write(*buf)
+	putEncodeBuf(buf)
+}
+
 // writeError writes the JSON error body, stamped with the request's ID so
 // the client can hand operators a greppable handle even on failures.
 func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
@@ -828,12 +838,13 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, o dispatchOpts
 	if o.key != "" {
 		if body, ok := s.cache.get(o.key); ok {
 			tr.setLane(LaneCache)
-			writeJSON(w, http.StatusOK, Envelope{
+			trace := tr.info()
+			writeEnvelope(w, &Envelope{
 				SchemaVersion: SchemaVersion,
 				RequestID:     tr.id,
 				Cached:        true,
 				ElapsedMs:     ms(time.Since(start)),
-				Trace:         tr.info(),
+				Trace:         &trace,
 				Result:        body,
 			})
 			return
@@ -918,12 +929,13 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, o dispatchOpts
 			writeError(w, r, statusFor(j.err), j.err)
 			return
 		}
-		writeJSON(w, http.StatusOK, Envelope{
+		trace := tr.info()
+		writeEnvelope(w, &Envelope{
 			SchemaVersion: SchemaVersion,
 			RequestID:     tr.id,
 			Cached:        false,
 			ElapsedMs:     ms(time.Since(start)),
-			Trace:         tr.info(),
+			Trace:         &trace,
 			Result:        j.out.body,
 		})
 	}
@@ -1130,57 +1142,29 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 			s.observePlan(res.Plan)
 		}
 		m := res.Matrix
-		out := MatrixResult{
+		// The checkpoint is encoded once, for the body and for the job's
+		// record.
+		var ckpt string
+		if m.Checkpoint != nil {
+			if ckpt, err = m.Checkpoint.EncodeString(); err != nil {
+				return jobOutput{}, err
+			}
+		}
+		progress := &JobProgress{
 			Complete:     m.Complete,
-			Relations:    map[string][][2]int{},
 			DecidedPairs: m.DecidedPairs(),
 			TotalPairs:   m.TotalPairs(),
 			Expanded:     m.Expanded,
-			Nodes:        res.Stats.Nodes,
-		}
-		for e := 0; e < x.NumEvents(); e++ {
-			out.Events = append(out.Events, x.EventName(model.EventID(e)))
-		}
-		relPairs := func(rel *model.Relation) [][2]int {
-			pairs := [][2]int{}
-			for _, p := range rel.Pairs() {
-				pairs = append(pairs, [2]int{int(p[0]), int(p[1])})
-			}
-			return pairs
-		}
-		for _, kind := range kinds {
-			out.Relations[kind.String()] = relPairs(m.Relations[kind])
-		}
-		if !m.Complete {
-			s.metrics.Counter(MetricAnalyzePartial).Add(1)
-			out.Undecided = map[string][][2]int{}
-			for _, kind := range kinds {
-				out.Undecided[kind.String()] = relPairs(m.Undecided[kind])
-			}
-			out.Checkpoint = m.Checkpoint
-			out.Cause = causeName(m.Cause)
-		}
-		if res.Plan != nil {
-			out.Plan = planSummary(res.Plan)
-		}
-		body, err := json.Marshal(out)
-		progress := &JobProgress{
-			Complete:     m.Complete,
-			DecidedPairs: out.DecidedPairs,
-			TotalPairs:   out.TotalPairs,
-			Expanded:     m.Expanded,
 			Resumable:    m.Checkpoint != nil,
 		}
+		body := encodeMatrixResult(x, m, res.Stats.Nodes, res.Plan, ckpt)
 		jo := jobOutput{body: body, cacheable: m.Complete && resume == nil, progress: progress, complete: m.Complete}
 		if !m.Complete {
-			jo.cause = out.Cause
-			if m.Checkpoint != nil {
-				if cs, cerr := m.Checkpoint.EncodeString(); cerr == nil {
-					jo.checkpoint = cs
-				}
-			}
+			s.metrics.Counter(MetricAnalyzePartial).Add(1)
+			jo.cause = causeName(m.Cause)
+			jo.checkpoint = ckpt
 		}
-		return jo, err
+		return jo, nil
 	}}, nil
 }
 
@@ -1197,22 +1181,6 @@ func causeName(err error) string {
 		return "canceled"
 	}
 	return err.Error()
-}
-
-// planSummary converts a plan into its wire form.
-func planSummary(p *plan.Plan) *PlanSummary {
-	out := &PlanSummary{TotalPairs: p.TotalPairs, ResiduePairs: p.Residue}
-	for _, st := range p.Tiers {
-		out.Tiers = append(out.Tiers, PlanTier{
-			Tier:          st.Tier.String(),
-			PairsDecided:  st.PairsDecided,
-			FactsDecided:  st.FactsDecided,
-			EventsScanned: st.EventsScanned,
-			Rounds:        st.Rounds,
-			OrderedPairs:  st.OrderedPairs,
-		})
-	}
-	return out
 }
 
 // observePlan accumulates per-tier decided-pair counters across matrix

@@ -147,16 +147,18 @@ func (tr *tracer) setErr(err error) {
 	tr.mu.Unlock()
 }
 
-// info snapshots the trace block for the response envelope.
-func (tr *tracer) info() *TraceInfo {
+// info snapshots the trace block for the response envelope. The phases
+// share the tracer's array, capped at their count: the tracer only
+// appends, so the snapshot's elements never change.
+func (tr *tracer) info() TraceInfo {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return &TraceInfo{
+	return TraceInfo{
 		RequestID:   tr.id,
 		Lane:        tr.lane,
 		Shed:        tr.shed,
 		QueueWaitMs: ms(tr.queueWait),
-		Phases:      append([]Phase(nil), tr.phases...),
+		Phases:      tr.phases[:len(tr.phases):len(tr.phases)],
 	}
 }
 

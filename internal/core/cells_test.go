@@ -80,7 +80,11 @@ func TestCellMemoAdoptedByPairQueries(t *testing.T) {
 
 // TestResumeRejectsOutOfRangeKeys changes one key of a burst.evo
 // checkpoint at a time, each into a key no state packs to, and requires
-// every resume to fail with ErrBadCheckpoint before the pass reads it.
+// every resume to fail with ErrBadCheckpoint before the pass reads it. It
+// does the same for fact bits and seed pairs naming an event the
+// execution lacks, which the result assembly's transpose and the seed's
+// rebuild would index past their rows with, and for a seed claiming a fact
+// both ways.
 func TestResumeRejectsOutOfRangeKeys(t *testing.T) {
 	x := loadTrace(t, "burst.evo")
 	a := mustAnalyzer(t, x, Options{})
@@ -107,6 +111,11 @@ func TestResumeRejectsOutOfRangeKeys(t *testing.T) {
 		t.Fatal("burst.evo's keys leave no bit past their fields")
 	}
 	outOfRange := uint64(len(a.procActs[p]) + 1)
+	n := part.Checkpoint.NumEvents
+	if n%64 == 0 {
+		t.Fatalf("burst.evo's %d events leave no fact bit past them", n)
+	}
+	lastWord, pastBit := (n+63)/64-1, uint64(1)<<uint(n%64)
 	for _, c := range []struct {
 		name   string
 		mutate func(c *Checkpoint)
@@ -125,6 +134,19 @@ func TestResumeRejectsOutOfRangeKeys(t *testing.T) {
 		}},
 		{"signature bit past the counters", func(c *Checkpoint) {
 			c.PcSeen.Key(0)[pcEnd>>6] |= 1 << (pcEnd & 63)
+		}},
+		{"order bit past the events", func(c *Checkpoint) { c.CanOrder[lastWord] |= pastBit }},
+		{"overlap bit past the events", func(c *Checkpoint) {
+			c.CanOverlap[(n-1)*(lastWord+1)+lastWord] |= pastBit
+		}},
+		{"seed pair past the events", func(c *Checkpoint) {
+			c.HasSeed, c.SeedOrder = true, [][2]int32{{0, int32(n)}}
+		}},
+		{"negative seed pair", func(c *Checkpoint) {
+			c.HasSeed, c.SeedNoOverlap = true, [][2]int32{{-1, 0}}
+		}},
+		{"inconsistent seed", func(c *Checkpoint) {
+			c.HasSeed, c.SeedOrder, c.SeedNoOrder = true, [][2]int32{{0, 1}}, [][2]int32{{0, 1}}
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

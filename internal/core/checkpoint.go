@@ -70,7 +70,9 @@ func badCheckpoint(format string, args ...any) error {
 // kind. A resume bounds-checks every key before it imports one, rejecting
 // with ErrBadCheckpoint a pc field past its process's length, a state
 // key's discriminator byte other than the completion memo's, and any bit
-// set past a key's fields.
+// set past a key's fields. It rejects a fact bit or seed pair naming an
+// event past NumEvents, and a seed claiming a fact both true and false, the
+// same way.
 //
 // The Fingerprint binds the checkpoint to the analyzer's preprocessed
 // execution structure and feasibility notion (IgnoreData); resuming on a
@@ -285,6 +287,25 @@ func (c *Checkpoint) validateFor(a *Analyzer) error {
 	if len(c.CanOrder) != c.NumEvents*factWords || len(c.CanOverlap) != c.NumEvents*factWords {
 		return badCheckpoint("checkpoint fact matrices have %d/%d words, want %d",
 			len(c.CanOrder), len(c.CanOverlap), c.NumEvents*factWords)
+	}
+	// The result assembly transposes the fact rows into an n-row matrix, so
+	// a bit past the events in a row's last word would index past it.
+	if rem := c.NumEvents % 64; rem != 0 {
+		past := ^uint64(0) << uint(rem)
+		for e := 0; e < c.NumEvents; e++ {
+			if w := (e+1)*factWords - 1; (c.CanOrder[w]|c.CanOverlap[w])&past != 0 {
+				return badCheckpoint("checkpoint fact row %d names an event past the execution's %d", e, c.NumEvents)
+			}
+		}
+	}
+	if c.HasSeed {
+		for _, pairs := range [][][2]int32{c.SeedOrder, c.SeedNoOrder, c.SeedOverlap, c.SeedNoOverlap} {
+			for _, p := range pairs {
+				if p[0] < 0 || p[1] < 0 || int(p[0]) >= c.NumEvents || int(p[1]) >= c.NumEvents {
+					return badCheckpoint("checkpoint seed pair (%d, %d) out of range [0, %d)", p[0], p[1], c.NumEvents)
+				}
+			}
+		}
 	}
 	return nil
 }

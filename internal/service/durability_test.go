@@ -540,7 +540,9 @@ func TestWedgedJournalRefusesAsync(t *testing.T) {
 
 // TestResumeRejectsOutOfRangeKey422: a well-formed checkpoint of burst.evo
 // with one state key changed so that its first process sits past its last
-// action decodes fine, but resuming it answers 422, and the unchanged
+// action decodes fine, but resuming it answers 422; so does one whose
+// first canOrder row has a bit past the execution's events, which the
+// result assembly would otherwise index past its rows with. The unchanged
 // checkpoint still resumes.
 func TestResumeRejectsOutOfRangeKey422(t *testing.T) {
 	burst := readTestdataProgram(t, "burst.evo")
@@ -555,24 +557,37 @@ func TestResumeRejectsOutOfRangeKey422(t *testing.T) {
 	if mr.Complete || mr.Checkpoint == nil || mr.Checkpoint.States.Entries == 0 {
 		t.Fatalf("budget-100 run should be partial with finished states (complete=%t)", mr.Complete)
 	}
+	if mr.Checkpoint.NumEvents%64 == 0 {
+		t.Fatalf("burst.evo's %d events leave no fact bit past them", mr.Checkpoint.NumEvents)
+	}
 	good, err := mr.Checkpoint.EncodeString()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := core.DecodeCheckpointString(good)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		mutate func(c *core.Checkpoint)
+	}{
+		{"out-of-range key", func(c *core.Checkpoint) { c.States.Keys[0] = ^uint64(0) }},
+		{"fact bit past the events", func(c *core.Checkpoint) {
+			c.CanOrder[(c.NumEvents+63)/64-1] |= 1 << uint(c.NumEvents%64)
+		}},
+	} {
+		bad, err := core.DecodeCheckpointString(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mutate(bad)
+		enc, err := bad.EncodeString()
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := map[string]any{"program": burst, "all": true, "resume": enc}
+		if resp, body := postJSON(t, ts.URL+"/v1/analyze", req); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d (%s), want 422", c.name, resp.StatusCode, body)
+		}
 	}
-	bad.States.Keys[0] = ^uint64(0)
-	enc, err := bad.EncodeString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := map[string]any{"program": burst, "all": true, "resume": enc}
-	if resp, body := postJSON(t, ts.URL+"/v1/analyze", req); resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("out-of-range key: status %d (%s), want 422", resp.StatusCode, body)
-	}
-	req["resume"] = good
+	req := map[string]any{"program": burst, "all": true, "resume": good}
 	if resp, body := postJSON(t, ts.URL+"/v1/analyze", req); resp.StatusCode != http.StatusOK {
 		t.Errorf("unchanged checkpoint: status %d (%s), want 200", resp.StatusCode, body)
 	}

@@ -118,14 +118,14 @@ func acceptLatencies(durable bool, traces [][]byte) (durabilitySide, error) {
 	}
 	sort.Float64s(samples)
 	side.Accepted = len(samples)
-	side.P50Ms = round4(samples[len(samples)/2])
-	side.P99Ms = round4(samples[len(samples)*99/100])
-	side.MaxMs = round4(samples[len(samples)-1])
+	side.P50Ms = round(samples[len(samples)/2], 4)
+	side.P99Ms = round(samples[len(samples)*99/100], 4)
+	side.MaxMs = round(samples[len(samples)-1], 4)
 	var sum float64
 	for _, s := range samples {
 		sum += s
 	}
-	side.MeanMs = round4(sum / float64(len(samples)))
+	side.MeanMs = round(sum/float64(len(samples)), 4)
 	return side, nil
 }
 
@@ -223,8 +223,8 @@ func runDurabilityBench(testdataDir string, jobs int, out string) error {
 		Jobs:          jobs,
 		WithJournal:   withJournal,
 		NoJournal:     noJournal,
-		OverheadP50Ms: round4(withJournal.P50Ms - noJournal.P50Ms),
-		OverheadP99Ms: round4(withJournal.P99Ms - noJournal.P99Ms),
+		OverheadP50Ms: round(withJournal.P50Ms-noJournal.P50Ms, 4),
+		OverheadP99Ms: round(withJournal.P99Ms-noJournal.P99Ms, 4),
 		CrashSoak: durabilityCrash{
 			Episodes:        crash.Episodes,
 			Accepted:        crash.Accepted,

@@ -377,21 +377,21 @@ func runCase(c benchCase, reps int, baseline *report) (caseResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.MatrixMS, res.MatrixNodes, res.MatrixEdges = mat, nodes, edges
+	res.MatrixMS, res.MatrixNodes, res.MatrixEdges = round(mat, 3), nodes, edges
 	if mat > 0 {
-		res.MatrixNodesPerSec = round2(float64(nodes) / (mat / 1000))
+		res.MatrixNodesPerSec = round(float64(nodes)/(mat/1000), 2)
 	}
-	fmt.Fprintf(os.Stderr, "  matrix                %10.2f ms  (%.0f nodes/s, %d nodes, %d edges)\n",
+	fmt.Fprintf(os.Stderr, "  matrix                %10.3f ms  (%.0f nodes/s, %d nodes, %d edges)\n",
 		mat, res.MatrixNodesPerSec, nodes, edges)
 
 	mat, nodes, _, err = matrixRun(core.Options{DisableSymm: true})
 	if err != nil {
 		return res, err
 	}
-	res.MatrixNoSymmMS, res.MatrixNodesNoSymm = mat, nodes
-	fmt.Fprintf(os.Stderr, "  matrix-nosymm         %10.2f ms  (%d states without orbit collapse)\n", mat, nodes)
+	res.MatrixNoSymmMS, res.MatrixNodesNoSymm = round(mat, 3), nodes
+	fmt.Fprintf(os.Stderr, "  matrix-nosymm         %10.3f ms  (%d states without orbit collapse)\n", mat, nodes)
 	if res.MatrixNodes > 0 {
-		res.SymmStateReduction = round2(float64(res.MatrixNodesNoSymm) / float64(res.MatrixNodes))
+		res.SymmStateReduction = round(float64(res.MatrixNodesNoSymm)/float64(res.MatrixNodes), 2)
 		fmt.Fprintf(os.Stderr, "  symm state reduction  %10.2fx (%d -> %d)\n",
 			res.SymmStateReduction, res.MatrixNodesNoSymm, res.MatrixNodes)
 	}
@@ -409,7 +409,7 @@ func runCase(c benchCase, reps int, baseline *report) (caseResult, error) {
 		return res, err
 	}
 	if res.MatrixNodes > 0 {
-		res.MatrixAllocsPerNode = round2(allocs / float64(res.MatrixNodes))
+		res.MatrixAllocsPerNode = round(allocs/float64(res.MatrixNodes), 2)
 	}
 	fmt.Fprintf(os.Stderr, "  allocs/node           %10.2f\n", res.MatrixAllocsPerNode)
 
@@ -431,9 +431,9 @@ func measurePlan(c benchCase, res *caseResult, reps int) error {
 	}
 	res.PlanTierFrac = map[string]float64{}
 	for _, ts := range p.Tiers {
-		res.PlanTierFrac[ts.Tier.String()] = round4(p.TierFraction(ts.Tier))
+		res.PlanTierFrac[ts.Tier.String()] = round(p.TierFraction(ts.Tier), 4)
 	}
-	res.PlanPolyFrac = round4(p.PolyFraction())
+	res.PlanPolyFrac = round(p.PolyFraction(), 4)
 	res.PlanResiduePairs = p.Residue
 	for _, tiers := range []int{0, -1} {
 		ms, err := measure(reps, func() error {
@@ -445,12 +445,12 @@ func measurePlan(c benchCase, res *caseResult, reps int) error {
 			return err
 		}
 		if tiers < 0 {
-			res.PlanOffMS = ms
+			res.PlanOffMS = round(ms, 3)
 		} else {
-			res.PlanOnMS = ms
+			res.PlanOnMS = round(ms, 3)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "  planner               %10.2f ms on / %.2f ms off  (%.0f%% decided polynomially: static %.0f%%, observed %.0f%%, dag %.0f%%; residue %d pairs)\n",
+	fmt.Fprintf(os.Stderr, "  planner               %10.3f ms on / %.3f ms off  (%.0f%% decided polynomially: static %.0f%%, observed %.0f%%, dag %.0f%%; residue %d pairs)\n",
 		res.PlanOnMS, res.PlanOffMS, res.PlanPolyFrac*100,
 		res.PlanTierFrac[plan.TierStatic.String()]*100,
 		res.PlanTierFrac[plan.TierObserved.String()]*100,
@@ -489,8 +489,8 @@ func measureAnytime(c benchCase, res *caseResult) error {
 	if err != nil {
 		return err
 	}
-	res.AnytimeQuarterFrac = round4(quarter)
-	res.AnytimeHalfFrac = round4(half)
+	res.AnytimeQuarterFrac = round(quarter, 4)
+	res.AnytimeHalfFrac = round(half, 4)
 	fmt.Fprintf(os.Stderr, "  anytime               %10.0f%% of pairs decided at 1/4 budget, %.0f%% at 1/2\n",
 		quarter*100, half*100)
 	return nil
@@ -525,10 +525,10 @@ func attachBaseline(res *caseResult, baseline *report) {
 		res.BaselineNodes = old.MatrixNodes
 		res.BaselineEdges = old.MatrixEdges
 		if old.MatrixMS > 0 && old.MatrixNodes > 0 {
-			res.BaselineNodesPerSec = round2(float64(old.MatrixNodes) / (old.MatrixMS / 1000))
+			res.BaselineNodesPerSec = round(float64(old.MatrixNodes)/(old.MatrixMS/1000), 2)
 		}
 		if res.BaselineNodesPerSec > 0 {
-			res.ThroughputGain = round2(res.MatrixNodesPerSec / res.BaselineNodesPerSec)
+			res.ThroughputGain = round(res.MatrixNodesPerSec/res.BaselineNodesPerSec, 2)
 			fmt.Fprintf(os.Stderr, "  vs baseline           %8.2f ms -> %.2f ms  (%.2fx throughput, nodes %d -> %d, edges %d -> %d)\n",
 				old.MatrixMS, res.MatrixMS, res.ThroughputGain,
 				old.MatrixNodes, res.MatrixNodes, old.MatrixEdges, res.MatrixEdges)
@@ -537,7 +537,9 @@ func attachBaseline(res *caseResult, baseline *report) {
 	}
 }
 
-// measure runs fn reps times and returns the median wall-clock in ms.
+// measure runs fn reps times and returns the median wall-clock in ms,
+// timed in nanoseconds and unrounded: callers keep three decimals
+// (microseconds) and derive rates from the unrounded value.
 func measure(reps int, fn func() error) (float64, error) {
 	if reps < 1 {
 		reps = 1
@@ -548,22 +550,15 @@ func measure(reps int, fn func() error) (float64, error) {
 		if err := fn(); err != nil {
 			return 0, err
 		}
-		samples = append(samples, float64(time.Since(start).Microseconds())/1000)
+		samples = append(samples, float64(time.Since(start).Nanoseconds())/1e6)
 	}
 	sort.Float64s(samples)
-	return round2(samples[len(samples)/2]), nil
+	return samples[len(samples)/2], nil
 }
 
-func round2(v float64) float64 {
-	s, err := strconv.ParseFloat(strconv.FormatFloat(v, 'f', 2, 64), 64)
-	if err != nil {
-		return v
-	}
-	return s
-}
-
-func round4(v float64) float64 {
-	s, err := strconv.ParseFloat(strconv.FormatFloat(v, 'f', 4, 64), 64)
+// round rounds v to the given number of decimals.
+func round(v float64, decimals int) float64 {
+	s, err := strconv.ParseFloat(strconv.FormatFloat(v, 'f', decimals, 64), 64)
 	if err != nil {
 		return v
 	}

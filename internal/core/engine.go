@@ -220,11 +220,16 @@ type Analyzer struct {
 	mustSeen  []uint32
 	mustStack []int32
 	mustEpoch uint32
-	// Supply edges (must.go), derived with the scratch: the V actions that
-	// semaphore counting forces before P action id are
-	// supplyPred[supplySpan[id].lo:supplySpan[id].hi].
-	supplySpan []supplySpan
-	supplyPred []int32
+	// Constraint predecessors (must.go), listed on the first pair query or
+	// Excluded call: action x's are predList[predSpan[x].lo:predSpan[x].hi].
+	predSpan []span
+	predList []int32
+	// reach is the constraint graph's closure over event endpoints
+	// (closeGraph), computed on the first Excluded call: action x's rows
+	// of the events whose begin and whose end reach it, reachWords words
+	// each.
+	reach      []uint64
+	reachWords int
 }
 
 // New preprocesses x for relation queries. The execution must be

@@ -47,20 +47,19 @@ func (a *Analyzer) SearchWitness(kind RelKind, ea, eb model.EventID) (bool, erro
 	return found, err
 }
 
-// SupplyEdges derives the pre-check's supply edges, if no pair query has
-// yet, and returns how many there are.
+// SupplyEdges derives the pre-check's supply edges and returns how many
+// there are.
 func (a *Analyzer) SupplyEdges() int {
-	if a.mustSeen == nil {
-		a.initMust()
-	}
-	return len(a.supplyPred)
+	_, preds := a.deriveSupply()
+	return len(preds)
 }
 
-// DropPrecheck discards the pre-check scratch and supply edges, so the
-// next pair query derives them again as on a fresh analyzer.
+// DropPrecheck discards the pre-check scratch, predecessor lists and
+// closure, so the next pair query derives them again as on a fresh
+// analyzer.
 func (a *Analyzer) DropPrecheck() {
 	a.mustSeen, a.mustStack, a.mustEpoch = nil, nil, 0
-	a.supplySpan, a.supplyPred = nil, nil
+	a.predSpan, a.predList, a.reach = nil, nil, nil
 }
 
 // layouts names the batch pass's two memo layouts by the cell limit that

@@ -7,73 +7,163 @@ import (
 	"eventorder/internal/model"
 )
 
-// Structural must-precede pre-check for pair queries.
+// Structural must-precede facts, for pair queries and matrix seeds.
 //
 // The relation queries are (co-)NP-hard because of choices: which V or Post
-// satisfies which P or Wait (Theorems 1–4). Orderings forced by program
-// order, fork/join and the observed shared-data dependences (condition F3)
-// involve no choice at all. They are plain reachability over the action
-// constraints that enabledAct enforces:
+// satisfies which P or Wait (Theorems 1–4). Orderings forced without a
+// choice are plain reachability over the action constraints that enabledAct
+// enforces. An action's constraint predecessors (preds) are:
 //
-//   - an action follows the previous action of its process;
-//   - a forked process's first action follows the fork action;
-//   - a join follows the joined process's last action (its fork action
-//     when the process has no actions);
-//   - an action follows its prereqs, the data constraints (none under
-//     IgnoreData).
+//   - the previous action of its process, or for a forked process's first
+//     action the fork action;
+//   - for a join, the joined process's last action (its fork action when
+//     the process has no actions);
+//   - its prereqs, the data constraints (none under IgnoreData);
+//   - its supply edges: the V's a P and the Post a Wait cannot run without,
+//     forced by counting with no choice left (see deriveSupply).
 //
 // If a chain of these edges leads from u to v (written u →+ v), u executes
 // before v in every valid interleaving. The monitored search would prove
 // such an ordering only by exhausting the state space, so pair queries
-// consult the constraint graph first and skip the search when it already
-// rules out every outcome the query accepts.
-//
-// Semaphore counting adds supply edges: V→P orderings that the counters
-// force with no choice left (see deriveSupply). Which V satisfies which P
-// in general, and every event-variable ordering, is left to the search.
+// consult the graph first, by a lazy backward search (mustPrecede), and
+// skip the search when it already rules out every outcome the query
+// accepts. Matrix seeds read the same graph through Excluded, which closes
+// it once over event endpoints. Which V satisfies which P or which Post
+// satisfies which Wait in general is left to the search.
 //
 // Soundness: every edge holds in every complete valid interleaving, and the
-// pre-check only ever concludes that no accepted interleaving exists. It
-// never relies on the observed order being feasible, and it leaves every
-// query it cannot refute to the search unchanged (budget, cancellation and
-// memo behavior included).
+// graph only ever rules outcomes out. It never relies on the observed order
+// being feasible, and it leaves every query it cannot refute to the search
+// unchanged (budget, cancellation and memo behavior included).
+
+// Outcome is a set of the ways two distinct events a and b can end up in a
+// complete interleaving: exactly one of the three holds in each.
+type Outcome uint8
+
+const (
+	// OutcomeAB is a wholly before b (a T b).
+	OutcomeAB Outcome = 1 << iota
+	// OutcomeBA is b wholly before a (b T a).
+	OutcomeBA
+	// OutcomeOverlap is neither: the two intervals overlap.
+	OutcomeOverlap
+)
+
+// flags returns the final monitor flags of the single outcome o.
+func (o Outcome) flags() byte {
+	switch o {
+	case OutcomeAB:
+		return flagAB
+	case OutcomeBA:
+		return flagBA
+	}
+	return flagAB | flagBA
+}
+
+// rulesOut reports whether the constraint graph rules out the single
+// outcome o for q's events, reading u →+ v for event endpoints u and v from
+// the closure when closed is set and from mustPrecede otherwise:
+//
+//	a T b    impossible if begin(b) →+ end(a)
+//	b T a    impossible if begin(a) →+ end(b)
+//	overlap  impossible if end(a) →+ begin(b) or end(b) →+ begin(a), or if
+//	         both events are single sync actions
+func (a *Analyzer) rulesOut(q *pairQuery, o Outcome, closed bool) bool {
+	switch o {
+	case OutcomeAB:
+		return a.precedes(q.bBegin, q.aEnd, closed)
+	case OutcomeBA:
+		return a.precedes(q.aBegin, q.bEnd, closed)
+	}
+	return q.aBegin == q.aEnd && q.bBegin == q.bEnd || a.precedes(q.aEnd, q.bBegin, closed) || a.precedes(q.bEnd, q.aBegin, closed)
+}
+
+// precedes reports u →+ v, from the closure when closed is set.
+func (a *Analyzer) precedes(u, v int32, closed bool) bool {
+	if closed {
+		return a.reaches(u, v)
+	}
+	return a.mustPrecede(u, v)
+}
 
 // pairExcluded reports whether the constraint graph alone rules out every
-// interval outcome q.accept admits. In a complete interleaving, distinct
-// events a and b end in exactly one of three outcomes, each with its own
-// final monitor flags:
-//
-//	a T b    flags == flagAB          impossible if begin(b) →+ end(a)
-//	b T a    flags == flagBA          impossible if begin(a) →+ end(b)
-//	overlap  flags == flagAB|flagBA   impossible if end(a) →+ begin(b) or
-//	                                  end(b) →+ begin(a), or if both events
-//	                                  are single sync actions
-//
-// A true result means no accepted interleaving exists.
+// outcome q.accept admits, so that no accepted interleaving exists. It
+// stops at the first accepted outcome it cannot rule out.
 func (a *Analyzer) pairExcluded(q *pairQuery) bool {
-	if q.accept(flagAB | flagBA) {
-		atomic := q.aBegin == q.aEnd && q.bBegin == q.bEnd
-		if !atomic && !a.mustPrecede(q.aEnd, q.bBegin) && !a.mustPrecede(q.bEnd, q.aBegin) {
+	for _, o := range [...]Outcome{OutcomeOverlap, OutcomeAB, OutcomeBA} {
+		if q.accept(o.flags()) && !a.rulesOut(q, o, false) {
 			return false
 		}
-	}
-	if q.accept(flagAB) && !a.mustPrecede(q.bBegin, q.aEnd) {
-		return false
-	}
-	if q.accept(flagBA) && !a.mustPrecede(q.aBegin, q.bEnd) {
-		return false
 	}
 	return true
 }
 
+// Excluded returns the outcomes of the distinct events ea and eb that the
+// constraint graph rules out in every complete valid interleaving, by the
+// rules the pair pre-check applies. The first call closes the graph over
+// event endpoints (closeGraph); pair queries never do.
+func (a *Analyzer) Excluded(ea, eb model.EventID) Outcome {
+	if a.reach == nil {
+		a.closeGraph()
+	}
+	q := pairQuery{
+		aBegin: a.evBeginAct[ea], aEnd: a.evEndAct[ea],
+		bBegin: a.evBeginAct[eb], bEnd: a.evEndAct[eb],
+	}
+	var out Outcome
+	for o := OutcomeAB; o <= OutcomeOverlap; o <<= 1 {
+		if a.rulesOut(&q, o, true) {
+			out |= o
+		}
+	}
+	return out
+}
+
+// linkPreds lists every action's constraint predecessors in one flat
+// array — the one place the edge rules of the header are written — so that
+// action x's are predList[predSpan[x].lo:predSpan[x].hi]: the previous
+// action of its process or the fork that starts it, for a join the joined
+// process's finish, its data prereqs, and its supply edges.
+func (a *Analyzer) linkPreds() {
+	supplySpan, supplyPred := a.deriveSupply()
+	// predSpan takes over supplySpan's array: slot x is read just before
+	// it is overwritten.
+	a.predSpan = supplySpan
+	a.predList = make([]int32, 0, 2*len(a.acts)+len(supplyPred))
+	for x := range a.acts {
+		act := &a.acts[x]
+		lo := int32(len(a.predList))
+		if act.idx > 0 {
+			a.predList = append(a.predList, a.procActs[act.proc][act.idx-1])
+		} else if start := a.startAct(act.proc); start >= 0 {
+			a.predList = append(a.predList, start)
+		}
+		if act.kind == actSync && act.opKind == model.OpJoin {
+			if finish := a.finishAct(act.obj); finish >= 0 {
+				a.predList = append(a.predList, finish)
+			}
+		}
+		a.predList = append(a.predList, act.prereqs...)
+		sp := supplySpan[x]
+		a.predList = append(a.predList, supplyPred[sp.lo:sp.hi]...)
+		a.predSpan[x] = span{lo, int32(len(a.predList))}
+	}
+}
+
+// preds returns action x's constraint predecessors (linkPreds).
+func (a *Analyzer) preds(x int32) []int32 {
+	sp := a.predSpan[x]
+	return a.predList[sp.lo:sp.hi]
+}
+
 // mustPrecede reports whether u →+ v in the constraint graph. It searches
-// backward from v over the predecessor edges listed above and the supply
-// edges, marking visited actions with a per-call epoch so the scratch needs
-// no clearing. Reaching any action of u's process at or after u proves the
-// path (program order supplies the rest). An action of u's process before u
-// is not expanded: u reaches it only through a cycle, which the edges of an
-// execution with a complete interleaving (a validated one has its observed
-// order) do not have, and a missed path only leaves a query to the search.
+// backward from v over preds, marking visited actions with a per-call
+// epoch so the scratch needs no clearing. Reaching any action of u's
+// process at or after u proves the path (program order supplies the rest).
+// An action of u's process before u is not expanded: u reaches it only
+// through a cycle, which the edges of an execution with a complete
+// interleaving (a validated one has its observed order) do not have, and a
+// missed path only leaves a query to the search.
 func (a *Analyzer) mustPrecede(u, v int32) bool {
 	up, ui := a.acts[u].proc, a.acts[u].idx
 	if a.acts[v].proc == up {
@@ -92,50 +182,74 @@ func (a *Analyzer) mustPrecede(u, v int32) bool {
 	for len(a.mustStack) > 0 {
 		x := a.mustStack[len(a.mustStack)-1]
 		a.mustStack = a.mustStack[:len(a.mustStack)-1]
-		act := &a.acts[x]
-		var pred int32
-		if act.idx > 0 {
-			pred = a.procActs[act.proc][act.idx-1]
-		} else {
-			pred = a.startAct(act.proc)
-		}
-		if a.mustVisit(pred, up, ui) {
-			return true
-		}
-		if act.kind == actSync && act.opKind == model.OpJoin && a.mustVisit(a.finishAct(act.obj), up, ui) {
-			return true
-		}
-		for _, pre := range act.prereqs {
-			if a.mustVisit(pre, up, ui) {
-				return true
-			}
-		}
-		sp := a.supplySpan[x]
-		for _, pre := range a.supplyPred[sp.lo:sp.hi] {
-			if a.mustVisit(pre, up, ui) {
-				return true
+		for _, pred := range a.preds(x) {
+			if p := &a.acts[pred]; p.proc == up {
+				if p.idx >= ui {
+					return true
+				}
+			} else if a.mustSeen[pred] != a.mustEpoch {
+				a.mustSeen[pred] = a.mustEpoch
+				a.mustStack = append(a.mustStack, pred)
 			}
 		}
 	}
 	return false
 }
 
-// mustVisit handles predecessor pred of mustPrecede's backward search for
-// action idx ui of process up. It reports whether pred closes the path, and
-// otherwise queues pred for expansion unless pred is -1 (no predecessor),
-// already seen, or an action of up before ui.
-func (a *Analyzer) mustVisit(pred, up, ui int32) bool {
-	if pred < 0 {
-		return false
+// closeGraph records, for every action x, the events whose begin reaches x
+// and the events whose end reaches x (x's own event included when x is
+// that endpoint): 2n bits per action for n events, in one backing array.
+// It is one forward pass over the actions in the observed interleaving's
+// order. Every edge holds in that interleaving, so an action's
+// predecessors are closed before it and no cycle can arise.
+func (a *Analyzer) closeGraph() {
+	if a.predSpan == nil {
+		a.linkPreds()
 	}
-	if p := &a.acts[pred]; p.proc == up {
-		return p.idx >= ui
+	words := (len(a.x.Events) + 63) / 64
+	a.reachWords = words
+	a.reach = make([]uint64, 2*words*len(a.acts))
+	done := make([]int32, len(a.procActs)) // closed actions per process
+	closeNext := func(p model.ProcID) *action {
+		x := a.procActs[p][done[p]]
+		done[p]++
+		row := a.reach[2*words*int(x) : 2*words*(int(x)+1)]
+		for _, pred := range a.preds(x) {
+			for w, bits := range a.reach[2*words*int(pred) : 2*words*(int(pred)+1)] {
+				row[w] |= bits
+			}
+		}
+		act := &a.acts[x]
+		bit := uint64(1) << uint(act.event%64)
+		if act.kind != actAccess && act.kind != actEnd { // x begins its event
+			row[act.event/64] |= bit
+		}
+		if act.kind == actEnd || act.kind == actSync { // x ends its event
+			row[words+int(act.event/64)] |= bit
+		}
+		return act
 	}
-	if a.mustSeen[pred] != a.mustEpoch {
-		a.mustSeen[pred] = a.mustEpoch
-		a.mustStack = append(a.mustStack, pred)
+	for _, op := range a.x.Order {
+		// Close p's actions through op's own, its event's begin included.
+		p := a.x.Ops[op].Proc
+		for closeNext(p).op != int32(op) {
+		}
+		// An event's end action follows its last access at once.
+		if i := done[p]; int(i) < len(a.procActs[p]) && a.acts[a.procActs[p][i]].kind == actEnd {
+			closeNext(p)
+		}
 	}
-	return false
+}
+
+// reaches reports u →+ v for an event endpoint u and an action v of
+// another event, reading closeGraph's rows.
+func (a *Analyzer) reaches(u, v int32) bool {
+	act := &a.acts[u]
+	i := 2*a.reachWords*int(v) + int(act.event/64)
+	if act.kind == actEnd {
+		i += a.reachWords
+	}
+	return a.reach[i]&(1<<uint(act.event%64)) != 0
 }
 
 // startAct returns the fork action that starts process p, or -1 for a
@@ -158,32 +272,40 @@ func (a *Analyzer) finishAct(p int32) int32 {
 	return a.startAct(p)
 }
 
-// initMust allocates the pre-check scratch and derives the supply edges.
-// It runs once per analyzer, on the first pair query, so core.New and the
-// matrix path pay nothing.
+// initMust allocates the pre-check scratch and lists the predecessors if
+// Excluded has not. It runs once per analyzer, on the first pair query, so
+// core.New and the matrix path pay nothing.
 func (a *Analyzer) initMust() {
 	// Each action is pushed at most once, so the stack never regrows.
 	a.mustSeen = make([]uint32, len(a.acts))
 	a.mustStack = make([]int32, 0, len(a.acts))
-	a.deriveSupply()
+	if a.predSpan == nil {
+		a.linkPreds()
+	}
 }
 
-// supplySpan locates a P action's supply predecessors in supplyPred.
-type supplySpan struct{ lo, hi int32 }
+// span locates one action's entries in a flat per-action list.
+type span struct{ lo, hi int32 }
 
-// supplyRun is one process's V actions on a semaphore: vs[start:start+n].
+// supplyRun is one process's suppliers in a supply group:
+// vs[start:start+n].
 type supplyRun struct{ proc, start, n int32 }
 
-// semOf returns the semaphore a P or V action operates on, or -1.
-func (a *Analyzer) semOf(id int32) int32 {
-	if act := &a.acts[id]; act.opKind == model.OpAcquire || act.opKind == model.OpRelease {
+// supplyGroup returns the supply group of a P, V, Post or Wait action — its
+// semaphore, or the number of semaphores plus its event variable — or -1.
+func (a *Analyzer) supplyGroup(id int32) int32 {
+	switch act := &a.acts[id]; act.opKind {
+	case model.OpAcquire, model.OpRelease:
 		return act.obj
+	case model.OpPost, model.OpWait:
+		return int32(len(a.semInit)) + act.obj
 	}
 	return -1
 }
 
-// deriveSupply records the supply edges: V→P orderings that semaphore
-// counting and program order force on their own.
+// deriveSupply returns the supply edges: V→P and Post→Wait orderings that
+// counting and program order force on their own. The V or Post actions
+// forced before P or Wait action id are preds[spans[id].lo:spans[id].hi].
 //
 // Take a P action p on semaphore s with initial value c, and k earlier P's
 // on s in p's process π. When p runs the semaphore holds
@@ -196,46 +318,63 @@ func (a *Analyzer) semOf(id int32) int32 {
 // earlier V's. Binary semaphores obey the same count; their extra V
 // constraint only removes interleavings.
 //
-// t ≥ 1 exactly when m_q > slack = |C| − need, so each semaphore's
-// processes are visited in decreasing m_q order, stopping at the first with
+// A Wait is such a P that leaves the count alone, with Posts for V's and
+// c = 1 when its variable starts posted, 0 when clear: a Wait on a variable
+// that starts clear runs after some Post of it (need = 1), so when every
+// candidate Post lies in one other process, that process's first candidate
+// precedes the Wait. Clears only ever unpost a variable, so they do not
+// weaken the argument.
+//
+// t ≥ 1 exactly when m_q > slack = |C| − need, so each group's processes
+// are visited in decreasing m_q order, stopping at the first with
 // m_q ≤ slack. Derivation costs O(A + S log S + E) for A actions, S
-// semaphore actions and E edges, in a constant number of flat slices.
-func (a *Analyzer) deriveSupply() {
+// supply-group actions and E edges, in a constant number of flat slices.
+func (a *Analyzer) deriveSupply() (spans []span, preds []int32) {
 	nsem := int32(len(a.semInit))
-	// Group the semaphore actions by semaphore with a stable counting sort:
-	// ops[off[s]:off[s+1]] are s's actions in action id order, which New
-	// assigns process by process in program order.
-	off := make([]int32, nsem+2)
+	ngroups := nsem + int32(len(a.evNames))
+	// Group the supply actions with a stable counting sort:
+	// ops[off[g]:off[g+1]] are group g's actions in action id order, which
+	// New assigns process by process in program order.
+	off := make([]int32, ngroups+2)
 	for id := range a.acts {
-		if s := a.semOf(int32(id)); s >= 0 {
-			off[s+2]++
+		if g := a.supplyGroup(int32(id)); g >= 0 {
+			off[g+2]++
 		}
 	}
-	for s := 2; s < len(off); s++ {
-		off[s] += off[s-1]
+	for g := 2; g < len(off); g++ {
+		off[g] += off[g-1]
 	}
-	ops := make([]int32, off[nsem+1])
+	ops := make([]int32, off[ngroups+1])
 	for id := range a.acts {
-		if s := a.semOf(int32(id)); s >= 0 {
-			ops[off[s+1]] = int32(id)
-			off[s+1]++
+		if g := a.supplyGroup(int32(id)); g >= 0 {
+			ops[off[g+1]] = int32(id)
+			off[g+1]++
 		}
 	}
 
-	a.supplySpan = make([]supplySpan, len(a.acts))
-	a.supplyPred = make([]int32, 0, len(ops))
+	spans = make([]span, len(a.acts))
+	preds = make([]int32, 0, len(ops))
 	vs := make([]int32, 0, len(ops))
 	runs := make([]supplyRun, 0, len(ops))
-	for s := int32(0); s < nsem; s++ {
-		group := ops[off[s]:off[s+1]]
+	supplies := func(id int32) bool {
+		k := a.acts[id].opKind
+		return k == model.OpRelease || k == model.OpPost
+	}
+	for g := int32(0); g < ngroups; g++ {
+		group := ops[off[g]:off[g+1]]
+		var c int32
+		if g < nsem {
+			c = a.semInit[g]
+		} else if v := g - nsem; a.evInit[v/64]&(1<<uint(v%64)) != 0 {
+			c = 1
+		}
 		vs, runs = vs[:0], runs[:0]
 		for _, id := range group {
-			act := &a.acts[id]
-			if act.opKind != model.OpRelease {
+			if !supplies(id) {
 				continue
 			}
-			if len(runs) == 0 || runs[len(runs)-1].proc != act.proc {
-				runs = append(runs, supplyRun{proc: act.proc, start: int32(len(vs))})
+			if p := a.acts[id].proc; len(runs) == 0 || runs[len(runs)-1].proc != p {
+				runs = append(runs, supplyRun{proc: p, start: int32(len(vs))})
 			}
 			vs = append(vs, id)
 			runs[len(runs)-1].n++
@@ -243,41 +382,44 @@ func (a *Analyzer) deriveSupply() {
 		slices.SortFunc(runs, func(x, y supplyRun) int { return cmp.Compare(y.n, x.n) })
 		total := int32(len(vs))
 		for i := 0; i < len(group); {
-			// group[i:j] are process π's actions on s.
+			// group[i:j] are process π's actions in the group.
 			pi := a.acts[group[i]].proc
 			j, own := i, int32(0)
 			for ; j < len(group) && a.acts[group[j]].proc == pi; j++ {
-				if a.acts[group[j]].opKind == model.OpRelease {
+				if supplies(group[j]) {
 					own++
 				}
 			}
 			var k, ownBefore int32
 			for _, id := range group[i:j] {
-				if a.acts[id].opKind == model.OpRelease {
+				if supplies(id) {
 					ownBefore++
 					continue
 				}
-				need := k + 1 - a.semInit[s]
-				k++
+				need := k + 1 - c
+				if a.acts[id].opKind == model.OpAcquire {
+					k++
+				}
 				slack := total - (own - ownBefore) - need
-				// need > |C| (slack < 0) means p can never run: no
-				// complete interleaving exists and there is nothing to
+				// need > |C| (slack < 0) means the action can never run:
+				// no complete interleaving exists and there is nothing to
 				// record.
 				if need <= 0 || slack < 0 {
 					continue
 				}
-				lo := int32(len(a.supplyPred))
+				lo := int32(len(preds))
 				for _, r := range runs {
 					if r.n <= slack {
 						break
 					}
 					if r.proc != pi {
-						a.supplyPred = append(a.supplyPred, vs[r.start+r.n-slack-1])
+						preds = append(preds, vs[r.start+r.n-slack-1])
 					}
 				}
-				a.supplySpan[id] = supplySpan{lo, int32(len(a.supplyPred))}
+				spans[id] = span{lo, int32(len(preds))}
 			}
 			i = j
 		}
 	}
+	return spans, preds
 }

@@ -78,12 +78,23 @@ func precheckCases(t *testing.T) []precheckCase {
 	add("binaryhandoff", x, err)
 	x, err = gen.SingleSem(2, 1, 2, 2)
 	add("singlesem-init2", x, err)
+	// Wait edges: a chain of stages each posted by its predecessor alone,
+	// and random programs with two event variables.
+	x, err = gen.Pipeline(6)
+	add("pipeline6", x, err)
 	rng := rand.New(rand.NewSource(1404))
 	for i := 0; i < 12; i++ {
 		x, err := gen.RandomProgramExecution(rng, gen.RandomProgramOptions{
 			Procs: 2 + rng.Intn(2), StmtsPerProc: 3, Sems: 1, Events: 1, Vars: 2, SemInit: 1, Branches: true,
 		})
 		add(fmt.Sprintf("random%d", i), x, err)
+	}
+	rng = rand.New(rand.NewSource(1405))
+	for i := 0; i < 8; i++ {
+		x, err := gen.RandomProgramExecution(rng, gen.RandomProgramOptions{
+			Procs: 2 + rng.Intn(2), StmtsPerProc: 8, Events: 2, Vars: 1,
+		})
+		add(fmt.Sprintf("events%d", i), x, err)
 	}
 	return cases
 }
@@ -191,6 +202,52 @@ func TestPrecheckAgreesWithSearch(t *testing.T) {
 	}
 }
 
+// TestExcludedMatchesPrecheck checks the matrix seeds' closure against the
+// pair pre-check's backward search over the same graph: on every
+// execution, in both feasibility notions, Excluded(a, b) rules out a T b
+// exactly when the pre-check refutes CHB(a, b), b T a exactly when it
+// refutes CHB(b, a), and overlap exactly when it refutes CCW(a, b).
+func TestExcludedMatchesPrecheck(t *testing.T) {
+	for _, c := range precheckCases(t) {
+		for _, ignore := range []bool{false, true} {
+			a, err := core.New(c.x, core.Options{IgnoreData: ignore})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			refutes := func(kind core.RelKind, ea, eb model.EventID) bool {
+				excluded, err := a.PairExcluded(kind, ea, eb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return excluded
+			}
+			n := c.x.NumEvents()
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if i == j {
+						continue
+					}
+					ea, eb := model.EventID(i), model.EventID(j)
+					var want core.Outcome
+					if refutes(core.RelCHB, ea, eb) {
+						want |= core.OutcomeAB
+					}
+					if refutes(core.RelCHB, eb, ea) {
+						want |= core.OutcomeBA
+					}
+					if refutes(core.RelCCW, ea, eb) {
+						want |= core.OutcomeOverlap
+					}
+					if got := a.Excluded(ea, eb); got != want {
+						t.Errorf("%s ignore=%v: Excluded(%s, %s) = %03b, pre-check says %03b",
+							c.name, ignore, label(c.x, ea), label(c.x, eb), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPrecheckWitness pins what a pre-check-decided WitnessSchedule
 // returns — the verdict with no schedule, exactly what the search returns
 // when it finds nothing — and that it expands no search node. The bare
@@ -243,7 +300,10 @@ func TestPrecheckWitness(t *testing.T) {
 // 2n edges, which answer every cross-barrier MHB(before_i, after_j) with
 // no search node. On a semaphore initialised to 1, a process's second P
 // follows another process's only V, while its first P may take the
-// initial token.
+// initial token. A Wait on a variable that starts clear runs after some
+// Post of it, so when every candidate Post — all but those after the Wait
+// in its own process — lies in one other process, that process's first
+// Post precedes the Wait; a Clear does not weaken the argument.
 func TestSupplyEdges(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		x, err := gen.Barrier(n)
@@ -301,6 +361,72 @@ func TestSupplyEdges(t *testing.T) {
 	}
 	if mhb, err := a.MHB(g, ex); err != nil || mhb {
 		t.Errorf("MHB(g, x) = %v, %v, want false: the first P may take the initial token", mhb, err)
+	}
+	// Wait edges. Each row's poster runs p first and its waiter runs w
+	// after the Wait, so an edge alone answers MHB(p, w) with no search
+	// node.
+	for _, c := range []struct {
+		name  string
+		build func(b *model.Builder) (*model.Execution, error)
+		edges int
+	}{
+		{"single poster", func(b *model.Builder) (*model.Execution, error) {
+			b.EventVar("e", false)
+			b.Proc("poster").Label("p").Nop().Post("e").Post("e")
+			b.Proc("waiter").Wait("e").Label("w").Nop()
+			return b.Build()
+		}, 1},
+		{"posters in two processes", func(b *model.Builder) (*model.Execution, error) {
+			b.EventVar("e", false)
+			b.Proc("poster").Label("p").Nop().Post("e")
+			b.Proc("other").Post("e")
+			b.Proc("waiter").Wait("e").Label("w").Nop()
+			return b.Build()
+		}, 0},
+		{"starts posted", func(b *model.Builder) (*model.Execution, error) {
+			b.EventVar("e", true)
+			b.Proc("poster").Label("p").Nop().Post("e")
+			b.Proc("waiter").Wait("e").Label("w").Nop()
+			return b.Build()
+		}, 0},
+		{"earlier post in the waiter", func(b *model.Builder) (*model.Execution, error) {
+			b.EventVar("e", false)
+			b.Proc("poster").Label("p").Nop().Post("e")
+			b.Proc("waiter").Post("e").Wait("e").Label("w").Nop()
+			return b.Build()
+		}, 0},
+		{"clear between post and wait", func(b *model.Builder) (*model.Execution, error) {
+			b.EventVar("e", false)
+			b.Proc("poster").Label("p").Nop().Post("e").Clear("e").Post("e")
+			b.Proc("waiter").Wait("e").Label("w").Nop()
+			// p, Post, Clear, Post, then the Wait and w.
+			return b.BuildWithOrder([]model.OpID{0, 1, 2, 3, 4, 5})
+		}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			x, err := c.build(model.NewBuilder())
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := core.New(x, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := a.SupplyEdges(); got != c.edges {
+				t.Errorf("%d supply edges, want %d", got, c.edges)
+			}
+			p, w := x.MustEventByLabel("p").ID, x.MustEventByLabel("w").ID
+			mhb, err := a.MHB(p, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mhb != (c.edges > 0) {
+				t.Errorf("MHB(p, w) = %v, want %v", mhb, c.edges > 0)
+			}
+			if mhb && a.Stats().Nodes != 0 {
+				t.Errorf("MHB(p, w) searched %d nodes, want none", a.Stats().Nodes)
+			}
+		})
 	}
 }
 

@@ -53,29 +53,6 @@ type Result struct {
 	Rounds int             // fixpoint iterations used by phase 3
 }
 
-// Stats summarizes one Analyze run for consumers (such as the tiered
-// planner in internal/plan) that report per-analysis effort without
-// recomputing anything. The counts describe phase 3, the relation safe
-// callers actually consume.
-type Stats struct {
-	// EventsScanned is the number of events the counting phases ranged
-	// over.
-	EventsScanned int
-	// Rounds is the number of fixpoint iterations phase 3 used.
-	Rounds int
-	// OrderedPairs is the number of safe ordered pairs phase 3 derived.
-	OrderedPairs int
-}
-
-// Stats reports the effort and yield of the Analyze run that produced r.
-func (r *Result) Stats() Stats {
-	return Stats{
-		EventsScanned: r.Phase3.N(),
-		Rounds:        r.Rounds,
-		OrderedPairs:  r.Phase3.Count(),
-	}
-}
-
 // Analyze runs all three phases. Executions using event variables are
 // rejected (HMW analyze semaphore traces; use taskgraph for event style).
 func Analyze(x *model.Execution) (*Result, error) {

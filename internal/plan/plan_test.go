@@ -105,9 +105,9 @@ func checkPlanned(t *testing.T, x *model.Execution, opts Options) {
 }
 
 // TestPlanDifferential is the differential smoke suite CI runs: on every
-// committed example trace, in both data modes, the planned analysis must
-// be bit-identical to the exact-only engine and the plan's bookkeeping
-// must balance.
+// committed example trace, in both data modes and at every cascade depth,
+// the planned analysis must be bit-identical to the exact-only engine and
+// the plan's bookkeeping must balance.
 func TestPlanDifferential(t *testing.T) {
 	entries, err := os.ReadDir(filepath.Join("..", "..", "testdata"))
 	if err != nil {
@@ -122,7 +122,9 @@ func TestPlanDifferential(t *testing.T) {
 			t.Parallel()
 			x := loadTrace(t, name)
 			for _, ignore := range []bool{false, true} {
-				checkPlanned(t, x, Options{IgnoreData: ignore})
+				for _, tiers := range []int{-1, 1, 2, 3, 0} {
+					checkPlanned(t, x, Options{IgnoreData: ignore, Tiers: tiers})
+				}
 			}
 		})
 	}
@@ -206,24 +208,182 @@ func TestPlanTierOrderMonotone(t *testing.T) {
 	}
 }
 
-// TestPlanDecidesUsefully guards the planner's reason to exist: on the
-// structured example traces, the polynomial tiers must decide a
-// substantial share of the could-concurrent verdicts (the bench's bracket
-// metric). The 30% floor matches the acceptance threshold recorded in
-// BENCH_matrix.json.
-func TestPlanDecidesUsefully(t *testing.T) {
-	for _, name := range []string{"pipeline.evo", "barrier.evo"} {
-		x := loadTrace(t, name)
-		p, err := Build(x, []core.RelKind{core.RelCCW}, Options{})
+// floorShapes returns every shape of BENCH_matrix.json and of the core
+// pre-check tests (precheckCases in internal/core): the testdata traces,
+// the generator shapes, and seeded random programs.
+func floorShapes(t testing.TB) []floorShape {
+	var shapes []floorShape
+	add := func(name string, x *model.Execution, err error) {
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if frac := p.PolyFraction(); frac < 0.30 {
-			t.Errorf("%s: polynomial tiers decided %.0f%% of CCW pairs, want >= 30%%", name, 100*frac)
+		shapes = append(shapes, floorShape{name, x})
+	}
+	entries, err := os.ReadDir(filepath.Join("..", "..", "testdata"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == ".evo" {
+			add(e.Name(), loadTrace(t, e.Name()), nil)
 		}
-		t.Logf("%s: poly fraction %.2f (static %.2f, observed %.2f, dag %.2f), residue %d/%d",
-			name, p.PolyFraction(), p.TierFraction(TierStatic), p.TierFraction(TierObserved),
-			p.TierFraction(TierDAG), p.Residue, p.TotalPairs)
+	}
+	x, err := gen.Mutex(4, 3)
+	add("mutex4x3", x, err)
+	for n := 4; n <= 5; n++ {
+		x, err := gen.Barrier(n)
+		add(fmt.Sprintf("barrier%d", n), x, err)
+	}
+	for n := 3; n <= 5; n++ {
+		x, err := gen.ForkJoinTree(n)
+		add(fmt.Sprintf("forkjoin%d", n), x, err)
+	}
+	x, err = gen.Pipeline(6)
+	add("pipeline6", x, err)
+	x, err = gen.ProducerConsumer(2, 1, 2)
+	add("prodcons2x1x2", x, err)
+	x, err = binaryHandoff()
+	add("binaryhandoff", x, err)
+	x, err = gen.SingleSem(2, 1, 2, 2)
+	add("singlesem-init2", x, err)
+	rng := rand.New(rand.NewSource(1404))
+	for i := 0; i < 12; i++ {
+		x, err := gen.RandomProgramExecution(rng, gen.RandomProgramOptions{
+			Procs: 2 + rng.Intn(2), StmtsPerProc: 3, Sems: 1, Events: 1, Vars: 2, SemInit: 1, Branches: true,
+		})
+		add(fmt.Sprintf("random%d", i), x, err)
+	}
+	rng = rand.New(rand.NewSource(1405))
+	for i := 0; i < 8; i++ {
+		x, err := gen.RandomProgramExecution(rng, gen.RandomProgramOptions{
+			Procs: 2 + rng.Intn(2), StmtsPerProc: 8, Events: 2, Vars: 1,
+		})
+		add(fmt.Sprintf("events%d", i), x, err)
+	}
+	return shapes
+}
+
+type floorShape struct {
+	name string
+	x    *model.Execution
+}
+
+// binaryHandoff is the core pre-check tests' hand-off over binary
+// semaphores: s (initially 0) passes control from sender to receiver, and
+// m (initially 1) guards one critical section in each.
+func binaryHandoff() (*model.Execution, error) {
+	b := model.NewBuilder()
+	b.Sem("s", 0, model.SemBinary)
+	b.Sem("m", 1, model.SemBinary)
+	sender := b.Proc("sender")
+	sender.Label("a").Nop()
+	sender.V("s")
+	sender.P("m")
+	sender.Label("c").Nop()
+	sender.V("m")
+	receiver := b.Proc("receiver")
+	receiver.P("s")
+	receiver.Label("b").Nop()
+	receiver.P("m")
+	receiver.Label("d").Nop()
+	receiver.V("m")
+	return b.Build()
+}
+
+// planFloors holds, per floorShapes shape, the ordered pairs the planner
+// this one replaced (HMW's fixpoint, a vector-clock cross-check and an
+// endpoint DAG) decided: all six kinds and CCW alone, with the data
+// dependences, then both again under IgnoreData.
+var planFloors = map[string][4]int{
+	"barrier.evo":       {60, 60, 60, 60},
+	"barrier6.evo":      {228, 228, 228, 228},
+	"burst.evo":         {48, 48, 48, 48},
+	"crossdep.evo":      {0, 0, 0, 0},
+	"dining2.evo":       {48, 48, 40, 40},
+	"figure1.evo":       {30, 30, 28, 28},
+	"handshake.evo":     {12, 12, 12, 12},
+	"nearsym.evo":       {4, 4, 4, 4},
+	"pipeline.evo":      {52, 52, 52, 52},
+	"postwaitclear.evo": {44, 44, 44, 44},
+	"singlesem.evo":     {16, 16, 14, 14},
+	"symring.evo":       {24, 24, 24, 24},
+	"mutex4x3":          {876, 876, 288, 288},
+	"barrier4":          {184, 184, 184, 184},
+	"barrier5":          {270, 270, 270, 270},
+	"forkjoin3":         {134, 134, 134, 134},
+	"forkjoin4":         {210, 210, 210, 210},
+	"forkjoin5":         {302, 302, 302, 302},
+	"pipeline6":         {272, 272, 272, 272},
+	"prodcons2x1x2":     {112, 112, 112, 112},
+	"binaryhandoff":     {60, 60, 60, 60},
+	"singlesem-init2":   {26, 26, 26, 26},
+	"random0":           {6, 12, 6, 12},
+	"random1":           {0, 2, 0, 2},
+	"random2":           {4, 4, 2, 4},
+	"random3":           {20, 24, 20, 24},
+	"random4":           {2, 2, 2, 2},
+	"random5":           {6, 8, 6, 8},
+	"random6":           {14, 20, 14, 20},
+	"random7":           {2, 6, 2, 6},
+	"random8":           {18, 20, 18, 20},
+	"random9":           {0, 0, 0, 0},
+	"random10":          {22, 22, 22, 22},
+	"random11":          {8, 14, 4, 12},
+	"events0":           {30, 32, 26, 28},
+	"events1":           {12, 12, 12, 12},
+	"events2":           {22, 36, 22, 36},
+	"events3":           {18, 28, 18, 28},
+	"events4":           {26, 26, 26, 26},
+	"events5":           {18, 20, 18, 20},
+	"events6":           {6, 10, 6, 10},
+	"events7":           {104, 114, 62, 72},
+}
+
+// TestPlanDecidesUsefully guards the planner's reason to exist: on every
+// shape it must decide at least the pairs planFloors records, for all six
+// kinds and for CCW (the bench's bracket metric), in both data modes.
+func TestPlanDecidesUsefully(t *testing.T) {
+	shapes := floorShapes(t)
+	if len(shapes) != len(planFloors) {
+		t.Errorf("%d shapes, %d floors", len(shapes), len(planFloors))
+	}
+	for _, s := range shapes {
+		floor, ok := planFloors[s.name]
+		if !ok {
+			t.Errorf("%s: no floor", s.name)
+			continue
+		}
+		for m, ignore := range []bool{false, true} {
+			for k, kinds := range [][]core.RelKind{nil, {core.RelCCW}} {
+				p, err := Build(s.x, kinds, Options{IgnoreData: ignore})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := p.TotalPairs - p.Residue; got < floor[2*m+k] {
+					t.Errorf("%s kinds=%v ignoreData=%v: decided %d of %d pairs, floor %d",
+						s.name, kinds, ignore, got, p.TotalPairs, floor[2*m+k])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPlanBuild times an all-six Build on each BENCH_matrix.json
+// shape: the testdata traces and the generator shapes cmd/bench runs.
+func BenchmarkPlanBuild(b *testing.B) {
+	bench := map[string]bool{"mutex4x3": true, "barrier4": true, "barrier5": true, "pipeline6": true, "forkjoin4": true}
+	for _, s := range floorShapes(b) {
+		if !bench[s.name] && filepath.Ext(s.name) != ".evo" {
+			continue
+		}
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(s.x, nil, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

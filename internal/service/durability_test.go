@@ -249,27 +249,66 @@ func journalFrameBoundaries(t *testing.T, seg []byte) []int64 {
 
 // TestCrashBoundarySweep is the acceptance sweep: a journal cut at EVERY
 // record boundary (and mid-record) must boot, and every job whose
-// "accepted" record survived the cut must reach a terminal state.
+// "accepted" record survived the cut must reach a terminal state. It
+// sweeps two journals of the same four jobs. In the first each job
+// finishes before the next is submitted, so its records, and with them the
+// cut@N byte offsets, come in one order on every run. In the second all
+// four are accepted before any runs, so its cuts leave up to four jobs
+// accepted but not done; the two workers interleave their records in
+// varying order, so those subtests are named by boundary index.
 func TestCrashBoundarySweep(t *testing.T) {
+	img, ids := seedCrashJournal(t, figure1Program(t), false)
+	sweepJournalCuts(t, img, ids, false)
+	img, ids = seedCrashJournal(t, figure1Program(t), true)
+	t.Run("queued", func(t *testing.T) { sweepJournalCuts(t, img, ids, true) })
+}
+
+// seedCrashJournal runs four async pair jobs on a fresh durable server and
+// returns a crash image of its state with the jobs' ids. Distinct
+// relations per job: identical requests would be served from the result
+// cache instead of minting fresh journaled jobs. Unless queued, each job
+// is awaited before the next is submitted (asyncOnDone journals "done"
+// before the job reads as done). With queued, the workers are parked until
+// all four are accepted.
+func seedCrashJournal(t *testing.T, prog string, queued bool) (*vfs.MemFS, []string) {
+	t.Helper()
 	fs := vfs.NewMemFS()
-	srv, ts := newDurableServer(t, durableConfig(fs))
-	prog := figure1Program(t)
-	var ids []string
-	// Distinct relations per job: identical requests would be served from
-	// the result cache instead of minting fresh journaled jobs.
-	for _, rel := range []string{"mhb", "chb", "mow", "cow"} {
-		req := map[string]any{"program": prog, "rel": rel, "a": "lp", "b": "rp", "async": true}
-		ids = append(ids, submitAsync(t, ts.URL, "/v1/analyze", req))
-	}
-	for _, id := range ids {
+	cfg := durableConfig(fs)
+	srv, ts := newDurableServer(t, cfg)
+	await := func(id string) {
 		if state, _, errs := awaitJob(t, srv, id, 30*time.Second); state != JobDone {
 			t.Fatalf("seed job %s: %s (%s)", id, state, errs)
 		}
 	}
+	release := func() {}
+	if queued {
+		release = blockWorkers(t, srv, cfg.Workers, 0)
+	}
+	var ids []string
+	for _, rel := range []string{"mhb", "chb", "mow", "cow"} {
+		req := map[string]any{"program": prog, "rel": rel, "a": "lp", "b": "rp", "async": true}
+		ids = append(ids, submitAsync(t, ts.URL, "/v1/analyze", req))
+		if !queued {
+			await(ids[len(ids)-1])
+		}
+	}
+	release()
+	for _, id := range ids {
+		await(id)
+	}
 	img := crashImage(fs)
 	forceStop(srv)
 	ts.Close()
+	return img, ids
+}
 
+// sweepJournalCuts boots a server from img with its live segment cut at
+// every frame boundary and 3 bytes past it, to cover torn records as well
+// as torn frame headers, and checks that every job whose accepted record
+// survived the cut finishes. Subtests are named cut@<offset>, or
+// b<index> and b<index>+3 when byIndex is set.
+func sweepJournalCuts(t *testing.T, img *vfs.MemFS, ids []string, byIndex bool) {
+	t.Helper()
 	segPath := liveSegmentPath(t, img)
 	seg, err := vfs.ReadFile(img, segPath)
 	if err != nil {
@@ -279,57 +318,59 @@ func TestCrashBoundarySweep(t *testing.T) {
 	if len(bounds) < 8 {
 		t.Fatalf("expected ≥8 frame boundaries (4 jobs × ≥2 records), got %d", len(bounds))
 	}
-	// Cut at every boundary plus mid-frame (boundary+3), to cover torn
-	// records as well as torn frame headers.
-	var cuts []int64
-	for _, b := range bounds {
-		cuts = append(cuts, b)
-		if b+3 < int64(len(seg)) {
-			cuts = append(cuts, b+3)
+	for i, bound := range bounds {
+		for _, cut := range []int64{bound, bound + 3} {
+			if cut > bound && cut >= int64(len(seg)) {
+				continue
+			}
+			name := fmt.Sprintf("cut@%d", cut)
+			if byIndex {
+				name = fmt.Sprintf("b%02d", i)
+				if cut > bound {
+					name += "+3"
+				}
+			}
+			t.Run(name, func(t *testing.T) {
+				cutFS := img.Clone()
+				f, err := cutFS.OpenFile(segPath, os.O_RDWR, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Truncate(cut); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				srv2, err := New(durableConfig(cutFS))
+				if err != nil {
+					t.Fatalf("boot after cut at %d: %v", cut, err)
+				}
+				defer forceStopGraceful(t, srv2)
+				srv2.recoveryWG.Wait()
+				for _, id := range ids {
+					sj, ok := srv2.store.get(id)
+					if !ok {
+						continue // accepted record fell past the cut: never acknowledged... recoverable loss is only unacknowledged work
+					}
+					deadline := time.Now().Add(30 * time.Second)
+					for {
+						state, _, errs := func() (JobState, []byte, string) {
+							s, b, e, _ := sj.snapshot()
+							return s, b, e
+						}()
+						if state == JobDone {
+							break
+						}
+						if state == JobFailed {
+							t.Fatalf("job %s failed after cut at %d: %s", id, cut, errs)
+						}
+						if time.Now().After(deadline) {
+							t.Fatalf("job %s stuck in %s after cut at %d", id, state, cut)
+						}
+						time.Sleep(2 * time.Millisecond)
+					}
+				}
+			})
 		}
-	}
-	for _, cut := range cuts {
-		cut := cut
-		t.Run(fmt.Sprintf("cut@%d", cut), func(t *testing.T) {
-			cutFS := img.Clone()
-			f, err := cutFS.OpenFile(segPath, os.O_RDWR, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Truncate(cut); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-			srv2, err := New(durableConfig(cutFS))
-			if err != nil {
-				t.Fatalf("boot after cut at %d: %v", cut, err)
-			}
-			defer forceStopGraceful(t, srv2)
-			srv2.recoveryWG.Wait()
-			for _, id := range ids {
-				sj, ok := srv2.store.get(id)
-				if !ok {
-					continue // accepted record fell past the cut: never acknowledged... recoverable loss is only unacknowledged work
-				}
-				deadline := time.Now().Add(30 * time.Second)
-				for {
-					state, _, errs := func() (JobState, []byte, string) {
-						s, b, e, _ := sj.snapshot()
-						return s, b, e
-					}()
-					if state == JobDone {
-						break
-					}
-					if state == JobFailed {
-						t.Fatalf("job %s failed after cut at %d: %s", id, cut, errs)
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("job %s stuck in %s after cut at %d", id, state, cut)
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
-			}
-		})
 	}
 }
 

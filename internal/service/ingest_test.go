@@ -88,7 +88,7 @@ func TestIngestAllocs(t *testing.T) {
 }
 
 // pairRequestAllocBound bounds TestPairRequestAllocs: the count measured
-// with Go 1.24 (346 to 348) plus a little headroom. When a synchronous
+// with Go 1.24 (347 to 349) plus a little headroom. When a synchronous
 // request still logged a second line for its job, the count was 389, and
 // when encoding/json wrote the envelope, 349 to 350.
 const pairRequestAllocBound = 352
@@ -134,11 +134,12 @@ func TestPairRequestAllocs(t *testing.T) {
 }
 
 // matrixRequestAllocBounds bound TestMatrixRequestAllocs: the counts
-// measured with Go 1.24 (648 to 649 and 1,093) plus a little headroom.
+// measured with Go 1.24 (520 to 522 and 797) plus a little headroom.
 // Encoding the body with encoding/json, which built a [][2]int per
 // relation and formatted every event name with fmt, made them 789 and
-// 1,292.
-var matrixRequestAllocBounds = map[string]float64{"figure1.evo": 656, "burst.evo": 1101}
+// 1,292; planning with HMW, vector clocks and an endpoint DAG, 648 and
+// 1,093.
+var matrixRequestAllocBounds = map[string]float64{"figure1.evo": 530, "burst.evo": 805}
 
 // TestMatrixRequestAllocs bounds the allocations of a whole synchronous
 // all-six matrix request for a program through the handler: decode, the

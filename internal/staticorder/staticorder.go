@@ -270,26 +270,6 @@ func (r *Result) NumNodes() int { return len(r.nodes) }
 // Rounds returns the number of fixpoint iterations used.
 func (r *Result) Rounds() int { return r.rounds }
 
-// Stats summarizes one Analyze run, mirroring the Stats shape of the
-// other polynomial baselines (vclock, hmw) so callers that report tiered
-// pre-solver effort — internal/plan's trace-level cascade uses
-// model.ProgramOrder as its static tier, the program-level analogue of
-// this analysis — have a uniform surface.
-type Stats struct {
-	// Nodes is the number of statement nodes the analysis flattened.
-	Nodes int
-	// Rounds is the number of fixpoint iterations used.
-	Rounds int
-	// OrderedPairs is the number of guaranteed-ordered statement pairs
-	// (over all nodes, not just labeled ones).
-	OrderedPairs int
-}
-
-// Stats reports the effort and yield of the Analyze run that produced r.
-func (r *Result) Stats() Stats {
-	return Stats{Nodes: len(r.nodes), Rounds: r.rounds, OrderedPairs: r.clo.NumPairs()}
-}
-
 // Pairs returns all guaranteed-ordered labeled pairs as "a b" tuples.
 func (r *Result) Pairs() [][2]string {
 	labels := r.Labels()

@@ -59,33 +59,6 @@ type Result struct {
 	HB *model.Relation
 	// EventClock[e] is the clock taken after executing event e's last op.
 	EventClock []VC
-
-	opsReplayed int
-}
-
-// Stats summarizes one Compute run for consumers (such as the tiered
-// planner in internal/plan) that report per-analysis effort without
-// recomputing anything.
-type Stats struct {
-	// EventsScanned is the number of events whose clocks were derived.
-	EventsScanned int
-	// OpsReplayed is the length of the observed interleaving replayed.
-	OpsReplayed int
-	// Rounds is the number of passes over the observed order (always 1:
-	// vector clocks are a single-pass analysis).
-	Rounds int
-	// OrderedPairs is the number of pairs in the HB relation.
-	OrderedPairs int
-}
-
-// Stats reports the effort and yield of the Compute run that produced r.
-func (r *Result) Stats() Stats {
-	return Stats{
-		EventsScanned: len(r.EventClock),
-		OpsReplayed:   r.opsReplayed,
-		Rounds:        1,
-		OrderedPairs:  r.HB.Count(),
-	}
 }
 
 // Compute derives vector clocks for an execution by replaying the observed
@@ -147,9 +120,8 @@ func Compute(x *model.Execution) (*Result, error) {
 	}
 
 	res := &Result{
-		HB:          model.NewRelation("VC", len(x.Events)),
-		EventClock:  make([]VC, len(x.Events)),
-		opsReplayed: len(x.Order),
+		HB:         model.NewRelation("VC", len(x.Events)),
+		EventClock: make([]VC, len(x.Events)),
 	}
 	for e := range x.Events {
 		res.EventClock[e] = opClock[x.Events[e].Last()]

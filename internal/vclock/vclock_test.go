@@ -189,7 +189,9 @@ func randomExecution(rng *rand.Rand) *model.Execution {
 	}
 }
 
-// TestVCEqualsPairingClosure cross-checks the two implementations.
+// TestVCEqualsPairingClosure cross-checks the two implementations, and
+// that every vector-clock edge follows the observed interleaving: HB is
+// contained in the observed wholly-before ordering.
 func TestVCEqualsPairingClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
@@ -205,6 +207,10 @@ func TestVCEqualsPairingClosure(t *testing.T) {
 		if !res.HB.Equal(pair) {
 			t.Fatalf("trial %d: VC ≠ pairing closure\nVC:\n%s\npairing:\n%s\nexec %s",
 				trial, res.HB.FormatMatrix(x), pair.FormatMatrix(x), x)
+		}
+		if obs := model.ObservedBefore(x, nil); !res.HB.SubsetOf(obs) {
+			t.Fatalf("trial %d: VC not contained in the observed ordering\nVC:\n%s\nobserved:\n%s\nexec %s",
+				trial, res.HB.FormatMatrix(x), obs.FormatMatrix(x), x)
 		}
 	}
 }

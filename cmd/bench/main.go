@@ -25,11 +25,14 @@
 // verified-results count quantify what crash safety costs and buys (the
 // EXPERIMENTS E20 numbers).
 //
-// Median-of-reps matrix wall-clock is reported, plus node throughput
-// (states/second through the batch engine), explored node and edge counts,
-// the symmetry reduction's on/off state comparison (process-symmetry orbit
-// collapsing shrinks the state count itself, reported as
-// symm_state_reduction), and heap allocations per expanded state. -procs
+// Median-of-reps matrix wall-clock is reported, each timing column with
+// its interquartile spread over the reps beside it (the _iqr columns;
+// sub-0.1 ms rows move by tens of percent between runs), plus node
+// throughput (states/second through the batch engine), explored node and
+// edge counts, the symmetry reduction's on/off state comparison
+// (process-symmetry orbit collapsing shrinks the state count itself,
+// reported as symm_state_reduction), and heap allocations per expanded
+// state. -procs
 // pins GOMAXPROCS for the whole run; the report records the effective
 // value, NumCPU, and whether GOMAXPROCS exceeds NumCPU (oversubscribed),
 // so committed artifacts are honest about the hardware they measured. -assert-symm-ge fails the run
@@ -81,8 +84,12 @@ type caseResult struct {
 	Events int    `json:"events"`
 	Pairs  int    `json:"ordered_pairs"`
 
-	// MatrixMS is the median Analyzer.Matrix wall-clock.
-	MatrixMS float64 `json:"matrix_ms"`
+	// MatrixMS is the median Analyzer.Matrix wall-clock. Every timing
+	// column has an _iqr companion: the distance between the first and
+	// third quartiles of its reps, so a reader can tell whether two rows'
+	// medians differ by more than their spread.
+	MatrixMS    float64 `json:"matrix_ms"`
+	MatrixMSIQR float64 `json:"matrix_ms_iqr"`
 	// MatrixNodes is the distinct states the batch engine expanded.
 	MatrixNodes int64 `json:"matrix_nodes"`
 	// MatrixEdges is the successor transitions of the states the batch
@@ -95,6 +102,7 @@ type caseResult struct {
 	// when the trace has no provable process symmetry.
 	MatrixNodesNoSymm  int64   `json:"matrix_nodes_nosymm,omitempty"`
 	MatrixNoSymmMS     float64 `json:"matrix_nosymm_ms,omitempty"`
+	MatrixNoSymmMSIQR  float64 `json:"matrix_nosymm_ms_iqr,omitempty"`
 	SymmStateReduction float64 `json:"symm_state_reduction,omitempty"`
 	// MatrixNodesPerSec is batch node throughput (MatrixNodes over matrix
 	// wall-clock) — the honest cross-version comparison axis, since the
@@ -116,7 +124,9 @@ type caseResult struct {
 	PlanPolyFrac     float64            `json:"plan_poly_frac"`
 	PlanResiduePairs int                `json:"plan_residue_pairs"`
 	PlanOnMS         float64            `json:"plan_on_ms"`
+	PlanOnMSIQR      float64            `json:"plan_on_ms_iqr"`
 	PlanOffMS        float64            `json:"plan_off_ms"`
+	PlanOffMSIQR     float64            `json:"plan_off_ms_iqr"`
 
 	// Anytime columns: the fraction of ordered pairs whose CCW verdict is
 	// already decided when the analysis is stopped at 1/4 and 1/2 of the
@@ -357,8 +367,9 @@ func runCase(c benchCase, reps int, baseline *report) (caseResult, error) {
 		Pairs:  n * (n - 1),
 	}
 	// matrixRun times a full CCW Matrix on a fresh analyzer and returns the
-	// median wall-clock with the last run's node and edge counts.
-	matrixRun := func(opts core.Options) (ms float64, nodes, edges int64, err error) {
+	// wall-clock's median and spread with the last run's node and edge
+	// counts.
+	matrixRun := func(opts core.Options) (ms timing, nodes, edges int64, err error) {
 		ms, err = measure(reps, func() error {
 			a, err := core.New(c.x, opts)
 			if err != nil {
@@ -377,19 +388,19 @@ func runCase(c benchCase, reps int, baseline *report) (caseResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.MatrixMS, res.MatrixNodes, res.MatrixEdges = round(mat, 3), nodes, edges
-	if mat > 0 {
-		res.MatrixNodesPerSec = round(float64(nodes)/(mat/1000), 2)
+	res.MatrixMS, res.MatrixMSIQR, res.MatrixNodes, res.MatrixEdges = round(mat.median, 3), round(mat.iqr, 3), nodes, edges
+	if mat.median > 0 {
+		res.MatrixNodesPerSec = round(float64(nodes)/(mat.median/1000), 2)
 	}
-	fmt.Fprintf(os.Stderr, "  matrix                %10.3f ms  (%.0f nodes/s, %d nodes, %d edges)\n",
-		mat, res.MatrixNodesPerSec, nodes, edges)
+	fmt.Fprintf(os.Stderr, "  matrix                %10.3f ms ±%.3f (%.0f nodes/s, %d nodes, %d edges)\n",
+		mat.median, mat.iqr, res.MatrixNodesPerSec, nodes, edges)
 
 	mat, nodes, _, err = matrixRun(core.Options{DisableSymm: true})
 	if err != nil {
 		return res, err
 	}
-	res.MatrixNoSymmMS, res.MatrixNodesNoSymm = round(mat, 3), nodes
-	fmt.Fprintf(os.Stderr, "  matrix-nosymm         %10.3f ms  (%d states without orbit collapse)\n", mat, nodes)
+	res.MatrixNoSymmMS, res.MatrixNoSymmMSIQR, res.MatrixNodesNoSymm = round(mat.median, 3), round(mat.iqr, 3), nodes
+	fmt.Fprintf(os.Stderr, "  matrix-nosymm         %10.3f ms ±%.3f (%d states without orbit collapse)\n", mat.median, mat.iqr, nodes)
 	if res.MatrixNodes > 0 {
 		res.SymmStateReduction = round(float64(res.MatrixNodesNoSymm)/float64(res.MatrixNodes), 2)
 		fmt.Fprintf(os.Stderr, "  symm state reduction  %10.2fx (%d -> %d)\n",
@@ -445,9 +456,9 @@ func measurePlan(c benchCase, res *caseResult, reps int) error {
 			return err
 		}
 		if tiers < 0 {
-			res.PlanOffMS = round(ms, 3)
+			res.PlanOffMS, res.PlanOffMSIQR = round(ms.median, 3), round(ms.iqr, 3)
 		} else {
-			res.PlanOnMS = round(ms, 3)
+			res.PlanOnMS, res.PlanOnMSIQR = round(ms.median, 3), round(ms.iqr, 3)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "  planner               %10.3f ms on / %.3f ms off  (%.0f%% decided polynomially: static %.0f%%, observed %.0f%%, dag %.0f%%; residue %d pairs)\n",
@@ -537,10 +548,14 @@ func attachBaseline(res *caseResult, baseline *report) {
 	}
 }
 
-// measure runs fn reps times and returns the median wall-clock in ms,
-// timed in nanoseconds and unrounded: callers keep three decimals
-// (microseconds) and derive rates from the unrounded value.
-func measure(reps int, fn func() error) (float64, error) {
+// timing is a wall-clock column in ms, timed in nanoseconds and
+// unrounded: the median of the reps and the distance between their first
+// and third quartiles. Callers keep three decimals (microseconds) and
+// derive rates from the unrounded median.
+type timing struct{ median, iqr float64 }
+
+// measure runs fn reps times and returns its wall-clock timing.
+func measure(reps int, fn func() error) (timing, error) {
 	if reps < 1 {
 		reps = 1
 	}
@@ -548,12 +563,12 @@ func measure(reps int, fn func() error) (float64, error) {
 	for i := 0; i < reps; i++ {
 		start := time.Now()
 		if err := fn(); err != nil {
-			return 0, err
+			return timing{}, err
 		}
 		samples = append(samples, float64(time.Since(start).Nanoseconds())/1e6)
 	}
 	sort.Float64s(samples)
-	return samples[len(samples)/2], nil
+	return timing{samples[reps/2], samples[3*reps/4] - samples[reps/4]}, nil
 }
 
 // round rounds v to the given number of decimals.

@@ -230,6 +230,9 @@ type Analyzer struct {
 	// each.
 	reach      []uint64
 	reachWords int
+	// certified records the completeness certificate over reach
+	// (certify.go), evaluated with the closure.
+	certified bool
 }
 
 // New preprocesses x for relation queries. The execution must be

@@ -201,7 +201,8 @@ func (a *Analyzer) mustPrecede(u, v int32) bool {
 // that endpoint): 2n bits per action for n events, in one backing array.
 // It is one forward pass over the actions in the observed interleaving's
 // order. Every edge holds in that interleaving, so an action's
-// predecessors are closed before it and no cycle can arise.
+// predecessors are closed before it and no cycle can arise. It then
+// evaluates the completeness certificate over the rows (certify).
 func (a *Analyzer) closeGraph() {
 	if a.predSpan == nil {
 		a.linkPreds()
@@ -239,6 +240,7 @@ func (a *Analyzer) closeGraph() {
 			closeNext(p)
 		}
 	}
+	a.certified = a.certify()
 }
 
 // reaches reports u →+ v for an event endpoint u and an action v of

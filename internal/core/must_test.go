@@ -248,6 +248,66 @@ func TestExcludedMatchesPrecheck(t *testing.T) {
 	}
 }
 
+// uncertifiedCases are the pre-check cases whose counts leave a choice, so
+// the completeness certificate must not hold on them: which V a P takes
+// (barriers, locks, the producer/consumer, the binary hand-off, the
+// semaphore groups) or which Post a Wait takes (figure1.evo). Every other
+// case is certified.
+var uncertifiedCases = map[string]bool{
+	"barrier.evo": true, "barrier6.evo": true, "dining2.evo": true, "figure1.evo": true,
+	"singlesem.evo": true, "symring.evo": true, "barrier4": true, "barrier5": true,
+	"prodcons2x1x2": true, "binaryhandoff": true, "singlesem-init2": true,
+}
+
+// TestCertifiedExcludedIsExact checks the completeness certificate on every
+// pre-check case, in both feasibility notions: it holds exactly on the
+// cases uncertifiedCases does not list, and where it holds Excluded leaves
+// open exactly the outcomes some feasible interleaving has — a T b where
+// the exact matrix has CHB(a, b), overlap where it has CCW(a, b).
+func TestCertifiedExcludedIsExact(t *testing.T) {
+	for _, c := range precheckCases(t) {
+		for _, ignore := range []bool{false, true} {
+			a, err := core.New(c.x, core.Options{IgnoreData: ignore})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if a.Certified() == uncertifiedCases[c.name] {
+				t.Errorf("%s ignore=%v: certified = %v", c.name, ignore, a.Certified())
+			}
+			if !a.Certified() {
+				continue
+			}
+			m, err := a.Matrix(context.Background(), []core.RelKind{core.RelCHB, core.RelCCW}, core.MatrixOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := c.x.NumEvents()
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if i == j {
+						continue
+					}
+					ea, eb := model.EventID(i), model.EventID(j)
+					var want core.Outcome
+					if !m.Relations[core.RelCHB].Has(ea, eb) {
+						want |= core.OutcomeAB
+					}
+					if !m.Relations[core.RelCHB].Has(eb, ea) {
+						want |= core.OutcomeBA
+					}
+					if !m.Relations[core.RelCCW].Has(ea, eb) {
+						want |= core.OutcomeOverlap
+					}
+					if got := a.Excluded(ea, eb); got != want {
+						t.Errorf("%s ignore=%v: certified, but Excluded(%s, %s) = %03b and the exact matrix rules out %03b",
+							c.name, ignore, label(c.x, ea), label(c.x, eb), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPrecheckWitness pins what a pre-check-decided WitnessSchedule
 // returns — the verdict with no schedule, exactly what the search returns
 // when it finds nothing — and that it expands no search node. The bare

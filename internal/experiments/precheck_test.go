@@ -14,13 +14,18 @@ import (
 // fork/join, data dependences and semaphore counting alone, without
 // searching. The queries E2–E4 and E7 time exercise the hardness of
 // choosing which V or Post satisfies which P or Wait, so the pre-check
-// must decide none of them: each must still expand search nodes.
+// must decide none of them: each must still expand search nodes. For the
+// same reason the completeness certificate (DESIGN S44), which lets a
+// matrix skip the search, must hold on none of their executions.
 func TestPrecheckLeavesTimedQueriesToSearch(t *testing.T) {
 	requireSearched := func(name string, x *model.Execution, opts core.Options, query string, ea, eb model.EventID) {
 		t.Helper()
 		a, err := core.New(x, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if a.Certified() {
+			t.Errorf("%s: the execution is certified", name)
 		}
 		if query == "mhb" {
 			_, err = a.MHB(ea, eb)

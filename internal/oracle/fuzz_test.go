@@ -42,7 +42,9 @@ func executionFromBytes(data []byte) *model.Execution {
 }
 
 // FuzzEngineAgreement feeds arbitrary bytes through executionFromBytes and
-// requires every engine to agree on the result. Seed corpus lives in
+// requires every engine to agree on the result, and, through Check's
+// certificate axis, a certified execution's plan to decide every pair with
+// the matrices brute force gives. Seed corpus lives in
 // testdata/fuzz/FuzzEngineAgreement.
 func FuzzEngineAgreement(f *testing.F) {
 	f.Add([]byte("sem s = 1\nvar d\nproc a { P(s)\nd := d + 1\nV(s) }\nproc b { V(s)\nP(s) }\n"))

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"eventorder/internal/core"
+	"eventorder/internal/model"
 )
 
 // readTestdataProgram loads a mini-language program from the repository
@@ -54,6 +58,7 @@ func envelopeOf(t *testing.T, resp *http.Response, body []byte) Envelope {
 func TestAdmissionLaneClassification(t *testing.T) {
 	handshake := readTestdataProgram(t, "handshake.evo")
 	figure1 := readTestdataProgram(t, "figure1.evo")
+	burst := readTestdataProgram(t, "burst.evo")
 
 	cases := []struct {
 		name string
@@ -63,6 +68,11 @@ func TestAdmissionLaneClassification(t *testing.T) {
 		{
 			name: "planner-decidable matrix rides fast",
 			body: map[string]any{"program": handshake, "all": true},
+			want: LaneFast,
+		},
+		{
+			name: "certified matrix rides fast",
+			body: map[string]any{"program": burst, "all": true},
 			want: LaneFast,
 		},
 		{
@@ -96,6 +106,52 @@ func TestAdmissionLaneClassification(t *testing.T) {
 				t.Errorf("second request: cached=%t lane=%q, want cache hit", env.Cached, env.Trace.Lane)
 			}
 		})
+	}
+}
+
+// TestMatrixRequestBuildsOneAnalyzer checks the analyzer hand-off: an
+// uncached matrix request builds one analyzer, which plans and then runs
+// the job, and a cache hit builds none. burst.evo is certified, so its
+// request decides every pair in the plan and expands no state; figure1.evo
+// keeps residue for the search.
+func TestMatrixRequestBuildsOneAnalyzer(t *testing.T) {
+	srv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built atomic.Int64
+	srv.newAnalyzer = func(x *model.Execution, opts core.Options) (*core.Analyzer, error) {
+		built.Add(1)
+		return core.New(x, opts)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		srv.Shutdown(context.Background())
+		ts.Close()
+	})
+	for _, name := range []string{"burst.evo", "figure1.evo"} {
+		body := map[string]any{"program": readTestdataProgram(t, name), "all": true}
+		built.Store(0)
+		resp, raw := postJSON(t, ts.URL+"/v1/analyze", body)
+		env := envelopeOf(t, resp, raw)
+		var res MatrixResult
+		if err := json.Unmarshal(env.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		if n := built.Load(); n != 1 {
+			t.Errorf("%s: an uncached request built %d analyzers, want 1", name, n)
+		}
+		if certified := name == "burst.evo"; certified != (res.Nodes == 0) || certified != (res.Plan.ResiduePairs == 0) {
+			t.Errorf("%s: %d nodes expanded with %d residue pairs", name, res.Nodes, res.Plan.ResiduePairs)
+		}
+		built.Store(0)
+		resp, raw = postJSON(t, ts.URL+"/v1/analyze", body)
+		if env := envelopeOf(t, resp, raw); !env.Cached {
+			t.Fatalf("%s: the repeated request was not a cache hit", name)
+		}
+		if n := built.Load(); n != 0 {
+			t.Errorf("%s: a cache hit built %d analyzers, want 0", name, n)
+		}
 	}
 }
 

@@ -308,6 +308,9 @@ func (s *Server) requeueRecovered(id, ep string, reqJSON json.RawMessage, ckptBl
 	}
 
 	o, err := s.prepareEndpoint(ep, reqJSON, noopTracer())
+	if err == nil {
+		err = o.runAdmit()
+	}
 	if err != nil {
 		fail(err)
 		return true

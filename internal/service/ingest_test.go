@@ -134,12 +134,14 @@ func TestPairRequestAllocs(t *testing.T) {
 }
 
 // matrixRequestAllocBounds bound TestMatrixRequestAllocs: the counts
-// measured with Go 1.24 (520 to 522 and 797) plus a little headroom.
+// measured with Go 1.24 (468 to 470 and 715) plus a little headroom.
 // Encoding the body with encoding/json, which built a [][2]int per
 // relation and formatted every event name with fmt, made them 789 and
 // 1,292; planning with HMW, vector clocks and an endpoint DAG, 648 and
-// 1,093.
-var matrixRequestAllocBounds = map[string]float64{"figure1.evo": 530, "burst.evo": 805}
+// 1,093; building a second analyzer for the job, and searching
+// burst.evo, which the completeness certificate now decides, 521 and
+// 797.
+var matrixRequestAllocBounds = map[string]float64{"figure1.evo": 480, "burst.evo": 725}
 
 // TestMatrixRequestAllocs bounds the allocations of a whole synchronous
 // all-six matrix request for a program through the handler: decode, the

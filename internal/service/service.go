@@ -197,6 +197,10 @@ type Server struct {
 	// grace (Config.DrainCheckpoint) expires.
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
+
+	// newAnalyzer builds each job's analyzer: core.New, which tests wrap
+	// to count the analyzers a request builds.
+	newAnalyzer func(*model.Execution, core.Options) (*core.Analyzer, error)
 }
 
 // New builds a Server and starts its worker pool. With Config.StateDir
@@ -217,6 +221,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:        make(chan *job, cfg.QueueDepth),
 		queueDepth:  m.Gauge(MetricQueueDepth),
 		jobsRunning: m.Gauge(MetricJobsRunning),
+		newAnalyzer: core.New,
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
@@ -800,7 +805,11 @@ type dispatchOpts struct {
 	anytime   bool
 	timeoutMs int64
 	lane      string
-	run       func(ctx context.Context) (jobOutput, error)
+	// admit, when set, prepares the job on a cache miss, before it is
+	// submitted, and returns its lane in place of lane; an error refuses
+	// the request as a prepare error does.
+	admit func() (lane string, err error)
+	run   func(ctx context.Context) (jobOutput, error)
 	// endpoint and reqJSON identify the request for the write-ahead
 	// journal ("analyze"/"races"/"witness" plus the canonical request
 	// body); reqJSON is only populated for async submissions on a durable
@@ -810,6 +819,16 @@ type dispatchOpts struct {
 	// tracer receives the job's queue wait and phase spans (the request's
 	// tracer on the HTTP path, a no-op one during crash recovery).
 	tracer *tracer
+}
+
+// runAdmit runs o.admit, if any, and takes the lane it returns.
+func (o *dispatchOpts) runAdmit() error {
+	if o.admit == nil {
+		return nil
+	}
+	lane, err := o.admit()
+	o.lane = lane
+	return err
 }
 
 // rejectSubmit maps an admission failure to its wire response: 429 with a
@@ -849,6 +868,10 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, o dispatchOpts
 			})
 			return
 		}
+	}
+	if err := o.runAdmit(); err != nil {
+		writeError(w, r, prepareStatus(err), err)
+		return
 	}
 	lane := o.lane
 	if lane != LaneFast {
@@ -1058,7 +1081,7 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 		// quoted to keep the descriptor unambiguous.
 		key := cacheKey(digest, fmt.Sprintf("analyze|pair|rel=%s|a=%q|b=%q|ignoreData=%t", kind, req.A, req.B, req.IgnoreData))
 		return dispatchOpts{key: key, async: req.Async, timeoutMs: req.TimeoutMs, endpoint: "analyze", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
-			an, err := core.New(x, opts)
+			an, err := s.newAnalyzer(x, opts)
 			if err != nil {
 				return jobOutput{}, err
 			}
@@ -1097,29 +1120,6 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 	// trace (the tracer is concurrency-safe; the job runs on a worker).
 	mopts.OnPhase = tr.phase
 
-	// Build the polynomial plan on the request path, not the worker: it
-	// doubles as the admission controller's cost estimate. A plan with
-	// zero residue means the cascade decided every pair — the job's cost
-	// is polynomial and proven, so it runs on this goroutine instead of
-	// queueing behind NP-hard searches. The finished plan is handed to the
-	// job via AnalyzePlanned, so nothing is computed twice. Resumed runs
-	// skip planning (the seed travels inside the checkpoint) and are
-	// always heavy — a resume exists precisely because the query was hard.
-	var built *plan.Plan
-	lane := LaneHeavy
-	if resume == nil {
-		perr := tr.timePhase("plan", func() error {
-			var berr error
-			built, berr = plan.Build(x, kinds, plan.Options{IgnoreData: req.IgnoreData, Tiers: mopts.Tiers})
-			return berr
-		})
-		if perr != nil {
-			return dispatchOpts{}, perr
-		}
-		if built.Residue == 0 {
-			lane = LaneFast
-		}
-	}
 	// The cache key deliberately omits budget: a budget only decides
 	// when a run stops, never what its completed verdicts say. Tiers IS part of the key — verdicts match at every
 	// setting, but the plan summary in the payload does not. Resume
@@ -1131,8 +1131,45 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 		key = ""
 		s.metrics.Counter(MetricAnalyzeResumed).Add(1)
 	}
-	return dispatchOpts{key: key, async: req.Async, anytime: true, timeoutMs: req.TimeoutMs, lane: lane, endpoint: "analyze", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
-		res, err := plan.AnalyzePlanned(ctx, x, kinds, opts, mopts, built)
+	// On a cache miss, admit builds the job's one analyzer (its only
+	// validation) and the polynomial plan from it on the request path,
+	// not the worker: the plan doubles as the admission controller's cost
+	// estimate. A plan with zero residue means the cascade decided every
+	// pair — the job's cost is polynomial and proven, so it runs on this
+	// goroutine instead of queueing behind NP-hard searches. The analyzer
+	// and plan pass to the job, which runs after admit returns (on this
+	// goroutine, or on a worker that receives it through the queue), so
+	// nothing is built twice and the analyzer never serves two goroutines
+	// at once. Resumed runs skip planning (the seed travels inside the
+	// checkpoint) and are always heavy — a resume exists precisely
+	// because the query was hard.
+	var an *core.Analyzer
+	var built *plan.Plan
+	admit := func() (string, error) {
+		if resume != nil {
+			return LaneHeavy, nil
+		}
+		err := tr.timePhase("plan", func() error {
+			var err error
+			if an, err = s.newAnalyzer(x, opts); err != nil {
+				return err
+			}
+			built, err = plan.BuildFrom(an, kinds, mopts.Tiers)
+			return err
+		})
+		if err != nil || built.Residue > 0 {
+			return LaneHeavy, err
+		}
+		return LaneFast, nil
+	}
+	return dispatchOpts{key: key, async: req.Async, anytime: true, timeoutMs: req.TimeoutMs, admit: admit, endpoint: "analyze", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
+		if an == nil { // a resume: no plan was built
+			var err error
+			if an, err = s.newAnalyzer(x, opts); err != nil {
+				return jobOutput{}, err
+			}
+		}
+		res, err := plan.AnalyzePlanned(ctx, an, kinds, mopts, built)
 		if err != nil {
 			return jobOutput{}, err
 		}
@@ -1304,7 +1341,7 @@ func (s *Server) prepareWitness(req *WitnessRequest, tr *tracer) (dispatchOpts, 
 	opts := core.Options{IgnoreData: req.IgnoreData, MaxNodes: s.nodeBudget(req.Budget)}
 	key := cacheKey(digest, fmt.Sprintf("witness|rel=%s|a=%q|b=%q|ignoreData=%t", kind, req.A, req.B, req.IgnoreData))
 	return dispatchOpts{key: key, async: req.Async, timeoutMs: req.TimeoutMs, endpoint: "witness", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
-		an, err := core.New(x, opts)
+		an, err := s.newAnalyzer(x, opts)
 		if err != nil {
 			return jobOutput{}, err
 		}
@@ -1337,7 +1374,7 @@ func (s *Server) observeMemo(an *core.Analyzer) {
 }
 
 // observeMemoStats is observeMemo for callers that only hold the stats
-// (the planned matrix path runs its analyzer inside plan.Analyze).
+// (the planned matrix path reads them from its plan.Result).
 func (s *Server) observeMemoStats(st core.Stats) {
 	s.metrics.Gauge(MetricMemoEntries).Set(int64(st.CompleteMemo))
 	s.metrics.Gauge(MetricMemoBytes).Set(st.MemoBytes)

@@ -81,7 +81,9 @@ func checkPlanned(t *testing.T, x *model.Execution, opts Options) {
 	}
 	// Every polynomial fact must agree with exact truth (seed soundness),
 	// and every pair a tier claims must have all its verdicts both
-	// decided and correct; residue pairs must be attributed to TierExact.
+	// decided and correct; residue pairs must be attributed to TierExact,
+	// and each tier's count must be the distinct pairs attributed to it.
+	attributed := make(map[Tier]int)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {
@@ -89,6 +91,7 @@ func checkPlanned(t *testing.T, x *model.Execution, opts Options) {
 			}
 			a, b := model.EventID(i), model.EventID(j)
 			tier := p.DecidedTier(a, b)
+			attributed[tier]++
 			for _, kind := range core.AllRelKinds {
 				v := p.Seed.Verdict(kind, a, b)
 				if v.Decided() && v.Holds() != want[kind].Has(a, b) {
@@ -101,6 +104,15 @@ func checkPlanned(t *testing.T, x *model.Execution, opts Options) {
 				}
 			}
 		}
+	}
+	for _, st := range p.Tiers {
+		if attributed[st.Tier] != st.PairsDecided {
+			t.Errorf("tier %s counts %d pairs decided, %d pairs are attributed to it",
+				st.Tier, st.PairsDecided, attributed[st.Tier])
+		}
+	}
+	if attributed[TierExact] != p.Residue {
+		t.Errorf("residue %d, %d pairs are attributed to the exact engine", p.Residue, attributed[TierExact])
 	}
 }
 
@@ -369,10 +381,23 @@ func TestPlanDecidesUsefully(t *testing.T) {
 }
 
 // BenchmarkPlanBuild times an all-six Build on each BENCH_matrix.json
-// shape: the testdata traces and the generator shapes cmd/bench runs.
+// shape — the testdata traces and the generator shapes cmd/bench runs —
+// and on two shapes of several hundred events, a certified pipeline and
+// an uncertified mutex, whose B/op the planner's n² bit planes dominate.
 func BenchmarkPlanBuild(b *testing.B) {
-	bench := map[string]bool{"mutex4x3": true, "barrier4": true, "barrier5": true, "pipeline6": true, "forkjoin4": true}
-	for _, s := range floorShapes(b) {
+	bench := map[string]bool{"mutex4x3": true, "barrier4": true, "barrier5": true, "pipeline6": true, "forkjoin4": true,
+		"pipeline256": true, "mutex16x16": true}
+	shapes := floorShapes(b)
+	x, err := gen.Pipeline(256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shapes = append(shapes, floorShape{"pipeline256", x})
+	if x, err = gen.Mutex(16, 16); err != nil {
+		b.Fatal(err)
+	}
+	shapes = append(shapes, floorShape{"mutex16x16", x})
+	for _, s := range shapes {
 		if !bench[s.name] && filepath.Ext(s.name) != ".evo" {
 			continue
 		}

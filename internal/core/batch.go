@@ -276,7 +276,6 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 
 	n := len(a.x.Events)
 	seed := opts.Seed
-	sym := a.symm && !opts.DisableSymm
 	ckpt := opts.Resume
 	if ckpt != nil {
 		if opts.Seed != nil {
@@ -291,10 +290,9 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 		// canonicalizer would treat representatives as the only finished
 		// states, so the mismatch is an error rather than a downgrade. A raw-key
 		// checkpoint resumes raw on any analyzer.
-		if ckpt.Symm && !sym {
+		if ckpt.Symm && (opts.DisableSymm || !a.symmetry()) {
 			return nil, badCheckpoint("checkpoint was cut from a symmetry-reduced run; resume with Options.DisableSymm and MatrixOpts.DisableSymm unset")
 		}
-		sym = ckpt.Symm
 	}
 	// bracket is the seed in row form; an interrupted pass reads its
 	// refuted side.
@@ -318,6 +316,12 @@ func (a *Analyzer) Matrix(ctx context.Context, kinds []RelKind, opts MatrixOpts)
 		}
 	}
 
+	// The search runs from here on, so symmetry is detected now; a
+	// checkpoint keeps the setting of the run it was cut from.
+	sym := a.symmetry() && !opts.DisableSymm
+	if ckpt != nil {
+		sym = ckpt.Symm
+	}
 	run, err := newBatchRun(a, ctx, budget, sym, seed, ckpt)
 	if err != nil {
 		return nil, err

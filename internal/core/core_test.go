@@ -51,6 +51,40 @@ func semOrdered(t *testing.T) *model.Execution {
 	return x
 }
 
+// semChoice builds p1: a;V(s) ∥ p2: V(s) ∥ p3: P(s);b. Which V the P takes
+// is a choice, so the completeness certificate does not hold and pair
+// queries the closure leaves open run the search.
+func semChoice(t *testing.T) *model.Execution {
+	t.Helper()
+	b := model.NewBuilder()
+	b.Sem("s", 0, model.SemCounting)
+	p1 := b.Proc("p1")
+	p1.Label("a").Nop()
+	p1.V("s")
+	b.Proc("p2").V("s")
+	p3 := b.Proc("p3")
+	p3.P("s")
+	p3.Label("b").Nop()
+	x, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// searchingAnalyzer returns an analyzer over semChoice and fails the test
+// if its execution is certified, which would answer every pair query
+// without a search.
+func searchingAnalyzer(t *testing.T, opts Options) (*model.Execution, *Analyzer) {
+	t.Helper()
+	x := semChoice(t)
+	a := mustAnalyzer(t, x, opts)
+	if a.Certified() {
+		t.Fatal("semChoice is certified, so its pair queries do not search")
+	}
+	return x, a
+}
+
 func TestSemaphoreEnforcedOrdering(t *testing.T) {
 	x := semOrdered(t)
 	a := mustAnalyzer(t, x, Options{})
@@ -340,8 +374,7 @@ func TestEnumerateSchedulesValid(t *testing.T) {
 }
 
 func TestBudgetExceeded(t *testing.T) {
-	x := semOrdered(t)
-	a := mustAnalyzer(t, x, Options{MaxNodes: 1})
+	x, a := searchingAnalyzer(t, Options{MaxNodes: 1})
 	_, err := a.CHB(x.MustEventByLabel("a").ID, x.MustEventByLabel("b").ID)
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
@@ -363,8 +396,7 @@ func TestQueryValidation(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	x := semOrdered(t)
-	a := mustAnalyzer(t, x, Options{})
+	_, a := searchingAnalyzer(t, Options{})
 	if _, err := a.Relation(context.Background(), RelMHB); err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,10 @@
 // event-variable values, interval-monitor flags). The search is exponential
 // in the worst case — necessarily so: the paper proves the must-have
 // relations co-NP-hard and the could-have relations NP-hard (Theorems 1–4).
+// The hardness lives in the choices of which V or Post satisfies which P or
+// Wait: a query the closure of the forced orderings refutes (must.go), and
+// every query on an execution with no such choice left (certify.go), is
+// answered without search.
 package core
 
 import (
@@ -104,10 +108,12 @@ type Stats struct {
 	MemoLoad     float64 // completion memo load factor (entries/capacity)
 	MemoGrows    int64   // capacity doublings since creation or DropMemo
 	// SymmClasses is the number of interchangeable-process classes the
-	// symmetry detector proved (0 when reduction is off or the group is
-	// trivial); SymmCollapses counts completion-memo probes whose key
-	// canonicalized to a different orbit representative, so that the
-	// probe shared the representative's entry. A Matrix probes once per
+	// symmetry detector proved (0 when reduction is off, the group is
+	// trivial, or no query has searched yet: the first search runs the
+	// detector, and queries the closure answers never do); SymmCollapses
+	// counts completion-memo probes whose key canonicalized to a
+	// different orbit representative, so that the probe shared the
+	// representative's entry. A Matrix probes once per
 	// successor transition of each state it enters, a per-pair query once
 	// per non-final state its completion search reaches.
 	SymmClasses   int
@@ -204,30 +210,27 @@ type Analyzer struct {
 	ctx     context.Context
 	ctxTick uint32 // node counter for amortized ctx polling
 
-	// Process-symmetry reduction (symm.go). symm is true when a nontrivial
-	// process-permutation group was detected and not disabled; the class
-	// tables are immutable and the scratch below is reused by every search.
-	// symmRaw holds the raw packed key before canonicalization.
-	symm        bool
-	symmClasses [][]int32 // interchangeable-process classes, ascending ids
-	symmClassOf []int32   // proc → class index, or -1 if fixed
-	symmVals    []int32   // per-class pc values during canonicalization
-	symmRaw     []uint64  // raw-key scratch (keyWords words)
+	// Process-symmetry reduction (symm.go), detected by the first search
+	// (symmetry): symmDetected records that detection ran, and symm is
+	// true when it proved a nontrivial process-permutation group that is
+	// not disabled. The class tables are immutable and the scratch below
+	// is reused by every search. symmRaw holds the raw packed key before
+	// canonicalization.
+	symmDetected bool
+	symm         bool
+	symmClasses  [][]int32 // interchangeable-process classes, ascending ids
+	symmClassOf  []int32   // proc → class index, or -1 if fixed
+	symmVals     []int32   // per-class pc values during canonicalization
+	symmRaw      []uint64  // raw-key scratch (keyWords words)
 
-	// Must-precede pre-check scratch (must.go), allocated on the first
-	// pair query: per-action visit marks tagged with the current search's
-	// epoch, and the backward search's stack.
-	mustSeen  []uint32
-	mustStack []int32
-	mustEpoch uint32
-	// Constraint predecessors (must.go), listed on the first pair query or
-	// Excluded call: action x's are predList[predSpan[x].lo:predSpan[x].hi].
+	// Constraint predecessors (must.go), listed when the graph is first
+	// closed: action x's are predList[predSpan[x].lo:predSpan[x].hi].
 	predSpan []span
 	predList []int32
 	// reach is the constraint graph's closure over event endpoints
-	// (closeGraph), computed on the first Excluded call: action x's rows
-	// of the events whose begin and whose end reach it, reachWords words
-	// each.
+	// (closeGraph), computed on the first pair query, Excluded or
+	// Certified call: action x's rows of the events whose begin and whose
+	// end reach it, reachWords words each.
 	reach      []uint64
 	reachWords int
 	// certified records the completeness certificate over reach
@@ -416,13 +419,6 @@ func newAnalyzer(x *model.Execution, opts Options, needOrder bool) (*Analyzer, e
 	}
 	a.evBits = len(a.evNames)
 	a.keyWords = (len(x.Procs)*int(a.pcBits) + a.evBits + 8 + 63) / 64
-	if !opts.DisableSymm && len(x.Procs) >= 2 && len(x.Procs) <= 64 {
-		if g := symm.Detect(x, opts.IgnoreData); !g.Trivial() {
-			a.symm = true
-			a.symmClasses = g.Classes
-			a.symmClassOf = g.ClassOf
-		}
-	}
 	a.allocScratch()
 	a.memoComplete = statetab.New(a.keyWords, 0)
 	return a, nil
@@ -435,10 +431,28 @@ func (a *Analyzer) allocScratch() {
 	a.keyArena = make([]uint64, depths*a.keyWords)
 	a.enabledArena = make([]int32, depths*len(a.procActs))
 	a.walkEnabled = make([]int32, 0, len(a.procActs))
-	if a.symm {
+}
+
+// symmetry reports whether process-symmetry reduction is on. Its first
+// call runs the detector and sizes the canonicalization scratch; every
+// search entry point calls it before its first memo key is packed, so an
+// analyzer whose queries the closure answers never pays for detection.
+func (a *Analyzer) symmetry() bool {
+	if a.symmDetected {
+		return a.symm
+	}
+	a.symmDetected = true
+	if a.opts.DisableSymm || len(a.procActs) < 2 || len(a.procActs) > 64 {
+		return false
+	}
+	if g := symm.Detect(a.x, a.opts.IgnoreData); !g.Trivial() {
+		a.symm = true
+		a.symmClasses = g.Classes
+		a.symmClassOf = g.ClassOf
 		a.symmVals = make([]int32, len(a.procActs))
 		a.symmRaw = make([]uint64, a.keyWords)
 	}
+	return a.symm
 }
 
 // keySlot returns depth's packed-key scratch slot.

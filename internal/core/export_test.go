@@ -23,7 +23,7 @@ func (a *Analyzer) PairExcluded(kind RelKind, ea, eb model.EventID) (bool, error
 	if err != nil {
 		return false, err
 	}
-	return a.pairExcluded(q), nil
+	return a.openOutcome(q) == 0, nil
 }
 
 // SearchExists runs the bare monitored search for kind's primitive, with
@@ -54,12 +54,54 @@ func (a *Analyzer) SupplyEdges() int {
 	return len(preds)
 }
 
-// DropPrecheck discards the pre-check scratch, predecessor lists and
-// closure, so the next pair query derives them again as on a fresh
-// analyzer.
+// DropPrecheck discards the predecessor lists and the closure, so the
+// next pair query derives them again as on a fresh analyzer.
 func (a *Analyzer) DropPrecheck() {
-	a.mustSeen, a.mustStack, a.mustEpoch = nil, nil, 0
 	a.predSpan, a.predList, a.reach = nil, nil, nil
+}
+
+// ReferenceExcluded returns the outcomes of the distinct events ea and eb
+// that the constraint graph rules out, by the rules of rulesOut with each
+// u →+ v answered by a plain backward search over preds instead of the
+// closure: the closure's independent reference.
+func (a *Analyzer) ReferenceExcluded(ea, eb model.EventID) Outcome {
+	if a.predSpan == nil {
+		a.linkPreds()
+	}
+	aBegin, aEnd := a.evBeginAct[ea], a.evEndAct[ea]
+	bBegin, bEnd := a.evBeginAct[eb], a.evEndAct[eb]
+	var out Outcome
+	if a.searchPrecedes(bBegin, aEnd) {
+		out |= OutcomeAB
+	}
+	if a.searchPrecedes(aBegin, bEnd) {
+		out |= OutcomeBA
+	}
+	if aBegin == aEnd && bBegin == bEnd || a.searchPrecedes(aEnd, bBegin) || a.searchPrecedes(bEnd, aBegin) {
+		out |= OutcomeOverlap
+	}
+	return out
+}
+
+// searchPrecedes reports u →+ v by a depth-first search backward from v
+// over preds.
+func (a *Analyzer) searchPrecedes(u, v int32) bool {
+	seen := make([]bool, len(a.acts))
+	stack := []int32{v}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range a.preds(x) {
+			if p == u {
+				return true
+			}
+			if !seen[p] {
+				seen[p] = true
+				stack = append(stack, p)
+			}
+		}
+	}
+	return false
 }
 
 // layouts names the batch pass's two memo layouts by the cell limit that

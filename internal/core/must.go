@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"eventorder/internal/model"
@@ -24,12 +25,13 @@ import (
 //
 // If a chain of these edges leads from u to v (written u →+ v), u executes
 // before v in every valid interleaving. The monitored search would prove
-// such an ordering only by exhausting the state space, so pair queries
-// consult the graph first, by a lazy backward search (mustPrecede), and
-// skip the search when it already rules out every outcome the query
-// accepts. Matrix seeds read the same graph through Excluded, which closes
-// it once over event endpoints. Which V satisfies which P or which Post
-// satisfies which Wait in general is left to the search.
+// such an ordering only by exhausting the state space, so the first pair
+// query, Excluded or Certified call closes the graph once over event
+// endpoints (closeGraph), and pair queries skip the search when the
+// closure already rules out every outcome they accept; matrix seeds read
+// the same closure through Excluded. Which V satisfies which P or which
+// Post satisfies which Wait in general is left to the search, except on a
+// certified execution, where no such choice is left (certify.go).
 //
 // Soundness: every edge holds in every complete valid interleaving, and the
 // graph only ever rules outcomes out. It never relies on the observed order
@@ -62,46 +64,42 @@ func (o Outcome) flags() byte {
 
 // rulesOut reports whether the constraint graph rules out the single
 // outcome o for q's events, reading u →+ v for event endpoints u and v from
-// the closure when closed is set and from mustPrecede otherwise:
+// the closure:
 //
 //	a T b    impossible if begin(b) →+ end(a)
 //	b T a    impossible if begin(a) →+ end(b)
 //	overlap  impossible if end(a) →+ begin(b) or end(b) →+ begin(a), or if
 //	         both events are single sync actions
-func (a *Analyzer) rulesOut(q *pairQuery, o Outcome, closed bool) bool {
+func (a *Analyzer) rulesOut(q *pairQuery, o Outcome) bool {
 	switch o {
 	case OutcomeAB:
-		return a.precedes(q.bBegin, q.aEnd, closed)
+		return a.reaches(q.bBegin, q.aEnd)
 	case OutcomeBA:
-		return a.precedes(q.aBegin, q.bEnd, closed)
+		return a.reaches(q.aBegin, q.bEnd)
 	}
-	return q.aBegin == q.aEnd && q.bBegin == q.bEnd || a.precedes(q.aEnd, q.bBegin, closed) || a.precedes(q.bEnd, q.aBegin, closed)
+	return q.aBegin == q.aEnd && q.bBegin == q.bEnd || a.reaches(q.aEnd, q.bBegin) || a.reaches(q.bEnd, q.aBegin)
 }
 
-// precedes reports u →+ v, from the closure when closed is set.
-func (a *Analyzer) precedes(u, v int32, closed bool) bool {
-	if closed {
-		return a.reaches(u, v)
+// openOutcome returns the first outcome q accepts that the constraint
+// graph does not rule out, trying overlap, then a T b, then b T a, or 0
+// when it rules out every accepted outcome, so that no accepted
+// interleaving exists. The first call closes the graph.
+func (a *Analyzer) openOutcome(q *pairQuery) Outcome {
+	if a.reach == nil {
+		a.closeGraph()
 	}
-	return a.mustPrecede(u, v)
-}
-
-// pairExcluded reports whether the constraint graph alone rules out every
-// outcome q.accept admits, so that no accepted interleaving exists. It
-// stops at the first accepted outcome it cannot rule out.
-func (a *Analyzer) pairExcluded(q *pairQuery) bool {
 	for _, o := range [...]Outcome{OutcomeOverlap, OutcomeAB, OutcomeBA} {
-		if q.accept(o.flags()) && !a.rulesOut(q, o, false) {
-			return false
+		if q.accept(o.flags()) && !a.rulesOut(q, o) {
+			return o
 		}
 	}
-	return true
+	return 0
 }
 
 // Excluded returns the outcomes of the distinct events ea and eb that the
 // constraint graph rules out in every complete valid interleaving, by the
-// rules the pair pre-check applies. The first call closes the graph over
-// event endpoints (closeGraph); pair queries never do.
+// rules the pair pre-check applies. The first call, like the first pair
+// query, closes the graph over event endpoints (closeGraph).
 func (a *Analyzer) Excluded(ea, eb model.EventID) Outcome {
 	if a.reach == nil {
 		a.closeGraph()
@@ -112,7 +110,7 @@ func (a *Analyzer) Excluded(ea, eb model.EventID) Outcome {
 	}
 	var out Outcome
 	for o := OutcomeAB; o <= OutcomeOverlap; o <<= 1 {
-		if a.rulesOut(&q, o, true) {
+		if a.rulesOut(&q, o) {
 			out |= o
 		}
 	}
@@ -156,53 +154,82 @@ func (a *Analyzer) preds(x int32) []int32 {
 	return a.predList[sp.lo:sp.hi]
 }
 
-// mustPrecede reports whether u →+ v in the constraint graph. It searches
-// backward from v over preds, marking visited actions with a per-call
-// epoch so the scratch needs no clearing. Reaching any action of u's
-// process at or after u proves the path (program order supplies the rest).
-// An action of u's process before u is not expanded: u reaches it only
-// through a cycle, which the edges of an execution with a complete
-// interleaving (a validated one has its observed order) do not have, and a
-// missed path only leaves a query to the search.
-func (a *Analyzer) mustPrecede(u, v int32) bool {
-	up, ui := a.acts[u].proc, a.acts[u].idx
-	if a.acts[v].proc == up {
-		return ui < a.acts[v].idx
-	}
-	if a.mustSeen == nil {
-		a.initMust()
-	}
-	a.mustEpoch++
-	if a.mustEpoch == 0 { // wrapped: forget every stale mark
-		clear(a.mustSeen)
-		a.mustEpoch = 1
-	}
-	a.mustSeen[v] = a.mustEpoch
-	a.mustStack = append(a.mustStack[:0], v)
-	for len(a.mustStack) > 0 {
-		x := a.mustStack[len(a.mustStack)-1]
-		a.mustStack = a.mustStack[:len(a.mustStack)-1]
-		for _, pred := range a.preds(x) {
-			if p := &a.acts[pred]; p.proc == up {
-				if p.idx >= ui {
-					return true
+// linearize calls emit on every action in the order of a linear
+// extension of the constraint graph with the edges of added joined in
+// (added[k][1] → added[k][0]; entries with a negative target are unused,
+// and no two name one target), and reports whether that graph is acyclic.
+// It is an iterative depth-first search over preds from each process's
+// last action, which reaches every action through program order; an
+// action is emitted once its predecessors are. An edge that would close a
+// cycle is skipped, so on a cyclic graph the order only misses some
+// edges. Program order is each action's first predecessor, so the order
+// runs process 0 as far as it can, bringing in just before they are
+// needed the actions of other processes it waits for, then process 1, and
+// so on.
+func (a *Analyzer) linearize(added [2][2]int32, emit func(x int32)) bool {
+	const (
+		unseen = iota
+		open
+		done
+	)
+	state := make([]uint8, len(a.acts))
+	type frame struct{ x, i int32 }
+	stack := make([]frame, 0, len(a.acts))
+	acyclic := true
+	for p := range a.procActs {
+		n := len(a.procActs[p])
+		if n == 0 || state[a.procActs[p][n-1]] != unseen {
+			continue
+		}
+		stack = append(stack, frame{a.procActs[p][n-1], 0})
+		state[a.procActs[p][n-1]] = open
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			ps := a.preds(f.x)
+			next := int32(-1)
+			for next < 0 && int(f.i) <= len(ps) {
+				u := int32(-1)
+				if int(f.i) < len(ps) {
+					u = ps[f.i]
+				} else if added[0][0] == f.x {
+					u = added[0][1]
+				} else if added[1][0] == f.x {
+					u = added[1][1]
 				}
-			} else if a.mustSeen[pred] != a.mustEpoch {
-				a.mustSeen[pred] = a.mustEpoch
-				a.mustStack = append(a.mustStack, pred)
+				f.i++
+				switch {
+				case u < 0 || state[u] == done:
+				case state[u] == open:
+					acyclic = false
+				default:
+					next = u
+				}
 			}
+			if next < 0 {
+				state[f.x] = done
+				emit(f.x)
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			state[next] = open
+			stack = append(stack, frame{next, 0})
 		}
 	}
-	return false
+	return acyclic
 }
+
+// noEdges is linearize's argument for the constraint graph alone.
+var noEdges = [2][2]int32{{-1, -1}, {-1, -1}}
 
 // closeGraph records, for every action x, the events whose begin reaches x
 // and the events whose end reaches x (x's own event included when x is
 // that endpoint): 2n bits per action for n events, in one backing array.
-// It is one forward pass over the actions in the observed interleaving's
-// order. Every edge holds in that interleaving, so an action's
-// predecessors are closed before it and no cycle can arise. It then
-// evaluates the completeness certificate over the rows (certify).
+// It is one pass over the actions in a linear extension of the graph
+// (linearize), so an action's predecessors are closed before it. It then
+// evaluates the completeness certificate over the rows (certify), which
+// needs an acyclic graph: a validated execution's observed order is a
+// linear extension, so only an unscheduled one can have a cycle, and then
+// no complete interleaving exists and the rows only miss some paths.
 func (a *Analyzer) closeGraph() {
 	if a.predSpan == nil {
 		a.linkPreds()
@@ -210,10 +237,7 @@ func (a *Analyzer) closeGraph() {
 	words := (len(a.x.Events) + 63) / 64
 	a.reachWords = words
 	a.reach = make([]uint64, 2*words*len(a.acts))
-	done := make([]int32, len(a.procActs)) // closed actions per process
-	closeNext := func(p model.ProcID) *action {
-		x := a.procActs[p][done[p]]
-		done[p]++
+	acyclic := a.linearize(noEdges, func(x int32) {
 		row := a.reach[2*words*int(x) : 2*words*(int(x)+1)]
 		for _, pred := range a.preds(x) {
 			for w, bits := range a.reach[2*words*int(pred) : 2*words*(int(pred)+1)] {
@@ -228,19 +252,32 @@ func (a *Analyzer) closeGraph() {
 		if act.kind == actEnd || act.kind == actSync { // x ends its event
 			row[words+int(act.event/64)] |= bit
 		}
-		return act
+	})
+	a.certified = acyclic && a.certify()
+}
+
+// extension returns a certified analyzer's witness for the open outcome o
+// of q: the actions of a linear extension of the constraint graph with
+// o's edges added (DESIGN S45). a T b adds end(a) → begin(b), b T a adds
+// end(b) → begin(a), and overlap adds begin(a) → end(b) and
+// begin(b) → end(a). The closure leaves o open, so the edges close no
+// cycle, and on a certified execution every linear extension is a
+// feasible interleaving; this one has outcome o. No state is expanded.
+func (a *Analyzer) extension(q *pairQuery, o Outcome) ([]int32, error) {
+	added := noEdges
+	switch o {
+	case OutcomeAB:
+		added[0] = [2]int32{q.bBegin, q.aEnd}
+	case OutcomeBA:
+		added[0] = [2]int32{q.aBegin, q.bEnd}
+	default:
+		added = [2][2]int32{{q.bEnd, q.aBegin}, {q.aEnd, q.bBegin}}
 	}
-	for _, op := range a.x.Order {
-		// Close p's actions through op's own, its event's begin included.
-		p := a.x.Ops[op].Proc
-		for closeNext(p).op != int32(op) {
-		}
-		// An event's end action follows its last access at once.
-		if i := done[p]; int(i) < len(a.procActs[p]) && a.acts[a.procActs[p][i]].kind == actEnd {
-			closeNext(p)
-		}
+	path := make([]int32, 0, len(a.acts))
+	if !a.linearize(added, func(x int32) { path = append(path, x) }) {
+		return nil, fmt.Errorf("core: internal error: the edges of an open outcome close a cycle")
 	}
-	a.certified = a.certify()
+	return path, nil
 }
 
 // reaches reports u →+ v for an event endpoint u and an action v of
@@ -272,18 +309,6 @@ func (a *Analyzer) finishAct(p int32) int32 {
 		return a.procActs[p][n-1]
 	}
 	return a.startAct(p)
-}
-
-// initMust allocates the pre-check scratch and lists the predecessors if
-// Excluded has not. It runs once per analyzer, on the first pair query, so
-// core.New and the matrix path pay nothing.
-func (a *Analyzer) initMust() {
-	// Each action is pushed at most once, so the stack never regrows.
-	a.mustSeen = make([]uint32, len(a.acts))
-	a.mustStack = make([]int32, 0, len(a.acts))
-	if a.predSpan == nil {
-		a.linkPreds()
-	}
 }
 
 // span locates one action's entries in a flat per-action list.

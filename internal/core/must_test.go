@@ -202,11 +202,12 @@ func TestPrecheckAgreesWithSearch(t *testing.T) {
 	}
 }
 
-// TestExcludedMatchesPrecheck checks the matrix seeds' closure against the
-// pair pre-check's backward search over the same graph: on every
-// execution, in both feasibility notions, Excluded(a, b) rules out a T b
-// exactly when the pre-check refutes CHB(a, b), b T a exactly when it
-// refutes CHB(b, a), and overlap exactly when it refutes CCW(a, b).
+// TestExcludedMatchesPrecheck checks the closure that matrix seeds and the
+// pair pre-check read against an independent reference, a plain backward
+// search over the same graph: on every execution, in both feasibility
+// notions, Excluded(a, b) must equal the reference's outcomes, and the
+// pre-check must refute CHB(a, b) exactly when a T b is ruled out, CHB(b,
+// a) exactly when b T a is, and CCW(a, b) exactly when overlap is.
 func TestExcludedMatchesPrecheck(t *testing.T) {
 	for _, c := range precheckCases(t) {
 		for _, ignore := range []bool{false, true} {
@@ -228,19 +229,24 @@ func TestExcludedMatchesPrecheck(t *testing.T) {
 						continue
 					}
 					ea, eb := model.EventID(i), model.EventID(j)
-					var want core.Outcome
+					want := a.ReferenceExcluded(ea, eb)
+					if got := a.Excluded(ea, eb); got != want {
+						t.Errorf("%s ignore=%v: Excluded(%s, %s) = %03b, the backward search says %03b",
+							c.name, ignore, label(c.x, ea), label(c.x, eb), got, want)
+					}
+					var pre core.Outcome
 					if refutes(core.RelCHB, ea, eb) {
-						want |= core.OutcomeAB
+						pre |= core.OutcomeAB
 					}
 					if refutes(core.RelCHB, eb, ea) {
-						want |= core.OutcomeBA
+						pre |= core.OutcomeBA
 					}
 					if refutes(core.RelCCW, ea, eb) {
-						want |= core.OutcomeOverlap
+						pre |= core.OutcomeOverlap
 					}
-					if got := a.Excluded(ea, eb); got != want {
-						t.Errorf("%s ignore=%v: Excluded(%s, %s) = %03b, pre-check says %03b",
-							c.name, ignore, label(c.x, ea), label(c.x, eb), got, want)
+					if pre != want {
+						t.Errorf("%s ignore=%v: the pre-check on (%s, %s) refutes %03b, the backward search says %03b",
+							c.name, ignore, label(c.x, ea), label(c.x, eb), pre, want)
 					}
 				}
 			}

@@ -206,20 +206,26 @@ func (a *Analyzer) newPairQuery(ea, eb model.EventID, accept func(flags byte) bo
 
 // exists answers the existential primitive for an event pair: is there a
 // feasible execution whose final interval flags satisfy accept? Queries
-// the constraint graph already refutes (must.go) skip the search.
+// the constraint graph's closure refutes (must.go) skip the search, and so
+// does every query on a certified execution (certify.go), where an
+// accepted outcome the closure leaves open is feasible.
 func (a *Analyzer) exists(ea, eb model.EventID, accept func(flags byte) bool) (bool, error) {
 	q, err := a.newPairQuery(ea, eb, accept)
 	if err != nil {
 		return false, err
 	}
-	if a.pairExcluded(q) {
+	if a.openOutcome(q) == 0 {
 		return false, nil
+	}
+	if a.certified {
+		return true, nil
 	}
 	return a.searchExists(q)
 }
 
 // searchExists answers q by the monitored search from the initial state.
 func (a *Analyzer) searchExists(q *pairQuery) (bool, error) {
+	a.symmetry()
 	a.resetState()
 	budget := a.opts.MaxNodes
 	memo := statetab.New(a.keyWords, 0)

@@ -30,6 +30,7 @@ func (a *Analyzer) SampleRelations(samples int, seed int64) (*SampleResult, erro
 	if samples <= 0 {
 		return nil, fmt.Errorf("core: samples must be positive")
 	}
+	a.symmetry()
 	rng := rand.New(rand.NewSource(seed))
 	n := len(a.x.Events)
 	sawOrder := make([][]bool, n)

@@ -15,6 +15,7 @@ var ErrTruncated = errors.New("core: schedule enumeration truncated at limit")
 // analyzer's constraints this is always true; it is informative under
 // hand-modified executions or added constraints.
 func (a *Analyzer) CanComplete() (bool, error) {
+	a.symmetry()
 	a.resetState()
 	budget := a.opts.MaxNodes
 	return a.canComplete(&budget, 0)
@@ -26,6 +27,7 @@ func (a *Analyzer) CanComplete() (bool, error) {
 // subtrees. ok=false means every interleaving deadlocks before performing
 // all events.
 func (a *Analyzer) FindSchedule() (order []model.OpID, ok bool, err error) {
+	a.symmetry()
 	a.resetState()
 	budget := a.opts.MaxNodes
 	can, err := a.canComplete(&budget, 0)

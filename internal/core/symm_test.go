@@ -14,7 +14,7 @@ import (
 func symmAnalyzer(t *testing.T, x *model.Execution) *Analyzer {
 	t.Helper()
 	a := mustAnalyzer(t, x, Options{})
-	if !a.symm {
+	if !a.symmetry() {
 		t.Fatal("expected a nontrivial symmetry group")
 	}
 	return a
@@ -178,6 +178,68 @@ func TestSymmStatsCounters(t *testing.T) {
 	}
 }
 
+// TestSymmDetectedLazily pins when the symmetry detector runs: not in New
+// or Stats, not for a query the closure answers, and at the first search.
+// On barrier6.evo, MHB of the coordinator's first two P's follows from
+// program order, while CHB of two workers' V's searches. nearsym.evo under
+// IgnoreData is symmetric and certified, so none of its pair or witness
+// queries runs the detector.
+func TestSymmDetectedLazily(t *testing.T) {
+	x := loadTrace(t, "barrier6.evo")
+	a := mustAnalyzer(t, x, Options{})
+	// nth returns the event of proc's n-th op in program order.
+	nth := func(proc string, n int) model.EventID {
+		for _, p := range x.Procs {
+			if p.Name == proc {
+				return x.Ops[p.Ops[n]].Event
+			}
+		}
+		t.Fatalf("no process %s", proc)
+		return 0
+	}
+	if a.Stats().SymmClasses != 0 || a.symmDetected {
+		t.Fatal("New or Stats ran the detector")
+	}
+	c0, c1 := nth("coordinator", 0), nth("coordinator", 1)
+	if mhb, err := a.MHB(c0, c1); err != nil || !mhb || a.symmDetected {
+		t.Fatalf("MHB(%d, %d) = %v, %v; detector ran: %v", c0, c1, mhb, err, a.symmDetected)
+	}
+	if _, err := a.CHB(nth("w0", 0), nth("w1", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if a.Stats().Nodes == 0 || a.Stats().SymmClasses != 1 {
+		t.Fatalf("a search expanded %d nodes with %d symmetry classes, want some and 1", a.Stats().Nodes, a.Stats().SymmClasses)
+	}
+
+	x = loadTrace(t, "nearsym.evo")
+	a = mustAnalyzer(t, x, Options{IgnoreData: true})
+	if !a.Certified() {
+		t.Fatal("nearsym.evo is not certified")
+	}
+	for _, kind := range AllRelKinds {
+		for i := range x.Events {
+			for j := range x.Events {
+				if i == j {
+					continue
+				}
+				ea, eb := model.EventID(i), model.EventID(j)
+				if _, err := a.Decide(context.Background(), kind, ea, eb); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := a.WitnessSchedule(context.Background(), kind, ea, eb); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if a.symmDetected {
+		t.Error("a certified execution's pair queries ran the detector")
+	}
+	if !a.symmetry() {
+		t.Error("nearsym.evo under IgnoreData lost its symmetry group")
+	}
+}
+
 // TestSymmCollapsesCount pins what Stats.SymmCollapses counts: completion
 // memo probes whose key canonicalized to another orbit representative. A
 // Matrix probes each successor of each state once, hits included, so its
@@ -271,7 +333,7 @@ func TestManyProcsSymmFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mustAnalyzer(t, x, Options{})
-	if a.symm {
+	if a.symmetry() {
 		t.Fatal("symmetry stayed enabled on a 66-process execution")
 	}
 	ok, err := a.CanComplete()
@@ -309,7 +371,7 @@ func FuzzCanonicalKey(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if !a.symm {
+	if !a.symmetry() {
 		f.Fatal("barrier6 lost its symmetry group")
 	}
 	g := symm.Detect(x, false)

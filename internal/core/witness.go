@@ -82,11 +82,17 @@ func (a *Analyzer) witnessSchedule(kind RelKind, ea, eb model.EventID) (Witness,
 	if err != nil {
 		return Witness{}, err
 	}
-	// Queries the constraint graph already refutes (must.go) skip the
-	// search.
+	// Queries the closure refutes (must.go) skip the search; on a
+	// certified execution a linear extension holding an open accepted
+	// outcome is the witness (certify.go).
 	var path []int32
 	found := false
-	if !a.pairExcluded(q) {
+	if o := a.openOutcome(q); o != 0 && a.certified {
+		if path, err = a.extension(q, o); err != nil {
+			return Witness{}, err
+		}
+		found = true
+	} else if o != 0 {
 		if path, found, err = a.searchWitness(q); err != nil {
 			return Witness{}, err
 		}
@@ -115,6 +121,7 @@ func (a *Analyzer) witnessSchedule(kind RelKind, ea, eb model.EventID) (Witness,
 // searchWitness runs the witness search for q from the initial state and
 // returns the accepted action path it found, if any.
 func (a *Analyzer) searchWitness(q *pairQuery) ([]int32, bool, error) {
+	a.symmetry()
 	a.resetState()
 	budget := a.opts.MaxNodes
 	memo := statetab.New(a.keyWords, 0)

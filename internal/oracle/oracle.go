@@ -9,6 +9,11 @@
 // verdicts on every execution, every execution core's completeness
 // certificate holds for must be decided by the plan alone, and every
 // witness schedule the engines emit must replay and exhibit its claim.
+// On a certified execution the per-pair engine reads the constraint
+// graph's closure instead of searching, and its witnesses are linear
+// extensions of the graph (DESIGN S45); there the unseeded batch
+// Matrix, and brute force where enumeration fits, are the searches it is
+// checked against.
 // Check runs the comparison; Verify additionally minimizes a failing
 // execution with a seeded shrinker (greedily dropping processes and events
 // while the disagreement persists) so a randomized-test failure arrives
@@ -57,13 +62,18 @@ func (c Config) withDefaults() Config {
 }
 
 // Check runs every engine over x and returns nil if all verdicts agree and
-// all witnesses validate, or an error naming the first divergence.
+// all witnesses validate, or an error naming the first divergence. Its
+// reference is the per-pair engine, which on a certified execution reads
+// the constraint graph's closure instead of searching; there the unseeded
+// batch Matrix is the search it is checked against, with brute force
+// where enumeration fits.
 func Check(x *model.Execution, cfg Config) error {
 	cfg = cfg.withDefaults()
 	opts := core.Options{IgnoreData: cfg.IgnoreData, MaxNodes: cfg.MaxNodes}
 
-	// Reference: the per-pair search with symmetry reduction disabled —
-	// the oldest, most directly paper-shaped decision procedure.
+	// Reference: the per-pair engine with symmetry reduction disabled —
+	// the oldest, most directly paper-shaped decision procedure (on a
+	// certified execution, the closure; see the doc comment).
 	refOpts := opts
 	refOpts.DisableSymm = true
 	ref, err := allRelations(x, refOpts)

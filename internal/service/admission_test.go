@@ -52,13 +52,19 @@ func envelopeOf(t *testing.T, resp *http.Response, body []byte) Envelope {
 }
 
 // TestAdmissionLaneClassification drives the lane classifier across its
-// boundaries: planner-decidable matrix queries ride the fast lane,
-// everything with exponential residue (or no plan at all) goes heavy, and
-// cache hits short-circuit both.
+// boundaries: planner-decidable matrix queries and pair queries on
+// certified executions ride the fast lane, everything with exponential
+// residue (or no plan at all) and pair queries that may search go heavy,
+// and cache hits short-circuit both. The pair rows use the pair
+// benchmark's traces: forkjoin5 is certified, barrier-ring5 is not.
 func TestAdmissionLaneClassification(t *testing.T) {
 	handshake := readTestdataProgram(t, "handshake.evo")
 	figure1 := readTestdataProgram(t, "figure1.evo")
 	burst := readTestdataProgram(t, "burst.evo")
+	traces := ingestTraces(t)
+	pair := func(trace, a, b string) map[string]any {
+		return map[string]any{"execution": json.RawMessage(traces[trace]), "rel": "MHB", "a": a, "b": b}
+	}
 
 	cases := []struct {
 		name string
@@ -87,8 +93,13 @@ func TestAdmissionLaneClassification(t *testing.T) {
 		},
 		{
 			name: "pair query goes heavy",
-			body: map[string]any{"program": handshake, "rel": "MHB", "a": "a", "b": "b"},
+			body: pair("barrier-ring5", "before0", "after4"),
 			want: LaneHeavy,
+		},
+		{
+			name: "certified pair query rides fast",
+			body: pair("forkjoin5", "setup", "collect"),
+			want: LaneFast,
 		},
 	}
 	for _, c := range cases {

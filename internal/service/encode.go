@@ -15,9 +15,11 @@ import (
 
 // Response encoding. A matrix response carries the six relations over
 // every ordered event pair, so turning it into bytes costs as much as a
-// small search. The writers here append the JSON of a MatrixResult body
-// and of the Envelope around a job's body in one pass, straight from the
-// engine's bitset rows and the cached body bytes, without reflection or a
+// small search, and a witness's schedule costs more to format than a
+// certified witness costs to find. The writers here append the JSON of a
+// MatrixResult, PairResult or WitnessResult body and of the Envelope
+// around a job's body in one pass, straight from the engine's bitset rows,
+// the witness's steps and the cached body bytes, without reflection or a
 // second validating copy. Their bytes equal encoding/json's for the same
 // values: json.Marshal for a body, json.NewEncoder(w).Encode (trailing
 // newline included) for an envelope, with its HTML-safe string escaping
@@ -57,6 +59,27 @@ var kindsByName = func() []core.RelKind {
 func encodeMatrixResult(x *model.Execution, m *core.MatrixResult, nodes int64, p *plan.Plan, checkpoint string) []byte {
 	buf := getEncodeBuf()
 	*buf = appendMatrixResult(*buf, x, m, nodes, p, checkpoint)
+	return takeBody(buf)
+}
+
+// encodePairResult returns the PairResult body appendPairResult writes,
+// in a buffer of its own.
+func encodePairResult(rel, a, b string, verdict Verdict, nodes int64) []byte {
+	buf := getEncodeBuf()
+	*buf = appendPairResult(*buf, rel, a, b, verdict, nodes)
+	return takeBody(buf)
+}
+
+// encodeWitnessResult returns the WitnessResult body appendWitnessResult
+// writes, in a buffer of its own.
+func encodeWitnessResult(x *model.Execution, rel, a, b string, verdict Verdict, steps []core.WitnessStep) []byte {
+	buf := getEncodeBuf()
+	*buf = appendWitnessResult(*buf, x, rel, a, b, verdict, steps)
+	return takeBody(buf)
+}
+
+// takeBody returns a copy of buf's bytes and puts buf back in the pool.
+func takeBody(buf *[]byte) []byte {
 	body := append([]byte(nil), *buf...)
 	putEncodeBuf(buf)
 	return body
@@ -114,6 +137,68 @@ func appendMatrixResult(dst []byte, x *model.Execution, m *core.MatrixResult, no
 		dst = appendPlanSummary(dst, p)
 	}
 	return append(dst, '}')
+}
+
+// appendPairResult appends the PairResult body answering the pair query
+// rel(a, b) with verdict after nodes search nodes.
+func appendPairResult(dst []byte, rel, a, b string, verdict Verdict, nodes int64) []byte {
+	dst = appendPairHead(dst, rel, a, b, verdict)
+	dst = append(dst, `,"nodes":`...)
+	dst = strconv.AppendInt(dst, nodes, 10)
+	return append(dst, '}')
+}
+
+// appendWitnessResult appends the WitnessResult body answering the
+// witness query rel(a, b) over x with verdict and the schedule steps,
+// each written as core.FormatSteps renders it.
+func appendWitnessResult(dst []byte, x *model.Execution, rel, a, b string, verdict Verdict, steps []core.WitnessStep) []byte {
+	dst = appendPairHead(dst, rel, a, b, verdict)
+	if len(steps) > 0 {
+		dst = append(dst, `,"steps":[`...)
+		var scratch [64]byte
+		text := scratch[:0]
+		for i, st := range steps {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			ev := &x.Events[st.Event]
+			text = append(text[:0], x.Procs[ev.Proc].Name...)
+			text = append(text, ": "...)
+			switch st.Kind {
+			case core.StepBegin, core.StepEnd:
+				text = append(text, "⟨"...)
+				if ev.Label != "" {
+					text = append(text, ev.Label...)
+				} else {
+					text = append(text, 'e')
+					text = strconv.AppendInt(text, int64(st.Event), 10)
+				}
+				if st.Kind == core.StepBegin {
+					text = append(text, " begins⟩"...)
+				} else {
+					text = append(text, " ends⟩"...)
+				}
+			default:
+				text = append(text, x.Ops[st.Op].Stmt...)
+			}
+			dst = appendJSONString(dst, text)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+// appendPairHead opens a pair or witness body with its fields up to the
+// verdict.
+func appendPairHead(dst []byte, rel, a, b string, verdict Verdict) []byte {
+	dst = append(dst, `{"rel":`...)
+	dst = appendJSONString(dst, rel)
+	dst = append(dst, `,"a":`...)
+	dst = appendJSONString(dst, a)
+	dst = append(dst, `,"b":`...)
+	dst = appendJSONString(dst, b)
+	dst = append(dst, `,"verdict":`...)
+	return appendJSONString(dst, verdict.String())
 }
 
 // appendRelations appends rels as the JSON object mapping each relation's

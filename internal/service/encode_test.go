@@ -138,6 +138,86 @@ func TestAppendMatrixResultMatchesMarshal(t *testing.T) {
 	}
 }
 
+// TestAppendWitnessResultMatchesMarshal pins the pair and witness bodies'
+// wire bytes: for every witness of forkjoin5, barrier-ring5 and each
+// testdata program, all six relations over every ordered pair,
+// appendWitnessResult must equal json.Marshal of the WitnessResult with
+// core.FormatSteps' steps, and appendPairResult json.Marshal of the
+// PairResult.
+func TestAppendWitnessResultMatchesMarshal(t *testing.T) {
+	executions := map[string]*model.Execution{}
+	for name, trace := range ingestTraces(t) {
+		x, _, err := resolveExecution(&ExecutionSource{Execution: trace})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		executions[name] = x
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.evo"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, _, err := resolveExecution(&ExecutionSource{Program: string(src)})
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		executions[filepath.Base(path)] = x
+	}
+	witnesses := 0
+	for name, x := range executions {
+		an, err := core.New(x, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range core.AllRelKinds {
+			for i := range x.Events {
+				for j := range x.Events {
+					if i == j {
+						continue
+					}
+					w, err := an.WitnessSchedule(context.Background(), kind, model.EventID(i), model.EventID(j))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(w.Steps) > 0 {
+						witnesses++
+					}
+					a, b := x.EventName(model.EventID(i)), x.Events[j].Label
+					checkPairBodies(t, name, x, kind.String(), a, b, core.VerdictOf(w.Holds), int64(i*j), w.Steps)
+				}
+			}
+		}
+	}
+	if witnesses == 0 {
+		t.Fatal("no witness carried a schedule")
+	}
+}
+
+// checkPairBodies requires appendWitnessResult and appendPairResult to
+// equal json.Marshal of the WitnessResult and PairResult they write.
+func checkPairBodies(t *testing.T, what string, x *model.Execution, rel, a, b string, verdict Verdict, nodes int64, steps []core.WitnessStep) {
+	t.Helper()
+	want, err := json.Marshal(WitnessResult{Rel: rel, A: a, B: b, Verdict: verdict, Steps: core.FormatSteps(x, steps)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendWitnessResult([]byte("prefix"), x, rel, a, b, verdict, steps); !bytes.Equal(got[len("prefix"):], want) {
+		t.Fatalf("%s: appendWitnessResult differs from json.Marshal:\n got %s\nwant %s", what, got[len("prefix"):], want)
+	}
+	want, err = json.Marshal(PairResult{Rel: rel, A: a, B: b, Verdict: verdict, Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendPairResult([]byte("prefix"), rel, a, b, verdict, nodes); !bytes.Equal(got[len("prefix"):], want) {
+		t.Fatalf("%s: appendPairResult differs from json.Marshal:\n got %s\nwant %s", what, got[len("prefix"):], want)
+	}
+}
+
 // TestAppendEnvelopeMatchesEncoder pins the envelope's wire bytes against
 // json.NewEncoder(…).Encode over cached and uncached responses, every
 // lane, shed and not, no, empty and several phases, request IDs that need
@@ -260,7 +340,8 @@ func TestMatrixResponsesReencode(t *testing.T) {
 // FuzzEncodeResponse fuzzes the writers against encoding/json: event
 // names built from arbitrary label, process and object strings (invalid
 // UTF-8, U+2028, control characters), relation and undecided bits, a
-// cause text, and the envelope's floats.
+// cause text, the envelope's floats, and pair and witness bodies whose
+// labels, process names and statements are those strings.
 func FuzzEncodeResponse(f *testing.F) {
 	f.Add("a<b>&c", "proc\u2028", "sem\x00\xff", []byte{0x5a, 0xff, 0x01, 0x80}, uint8(5), false, 0.001, 1e21)
 	f.Add("", "\xed\xa0\x80", "\u2029\t\"\\", []byte{0xff}, uint8(70), true, 1e-7, 0.0)
@@ -270,6 +351,7 @@ func FuzzEncodeResponse(f *testing.F) {
 		}
 		n := int(events % 80)
 		x := &model.Execution{Procs: []model.Proc{{Name: proc}, {Name: obj}}}
+		var steps []core.WitnessStep
 		for e := 0; e < n; e++ {
 			ev := model.Event{ID: model.EventID(e), Proc: model.ProcID(e % 2), Ops: make([]model.OpID, e%3+1)}
 			if e%2 == 0 {
@@ -278,8 +360,16 @@ func FuzzEncodeResponse(f *testing.F) {
 			if e%3 == 0 {
 				ev.Kind, ev.Obj, ev.Ops = model.OpAcquire, obj, ev.Ops[:1]
 			}
+			op := model.OpID(len(x.Ops))
+			x.Ops = append(x.Ops, model.Op{ID: op, Event: ev.ID, Proc: ev.Proc, Stmt: obj + label})
 			x.Events = append(x.Events, ev)
+			steps = append(steps,
+				core.WitnessStep{Kind: core.StepBegin, Event: ev.ID, Op: model.OpID(model.NoID)},
+				core.WitnessStep{Kind: core.StepOp, Event: ev.ID, Op: op},
+				core.WitnessStep{Kind: core.StepEnd, Event: ev.ID, Op: model.OpID(model.NoID)})
 		}
+		verdict := Verdict(events % 3)
+		checkPairBodies(t, "fuzz", x, obj, label, proc, verdict, int64(len(relBits)), steps)
 		bit := 0
 		fill := func(name string) *model.Relation {
 			r := model.NewRelation(name, n)

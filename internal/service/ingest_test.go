@@ -87,32 +87,35 @@ func TestIngestAllocs(t *testing.T) {
 	}
 }
 
-// pairRequestAllocBound bounds TestPairRequestAllocs: the count measured
-// with Go 1.24 (347 to 349) plus a little headroom. When a synchronous
-// request still logged a second line for its job, the count was 389, and
-// when encoding/json wrote the envelope, 349 to 350.
-const pairRequestAllocBound = 352
+// pairRequestAllocRows are TestPairRequestAllocs' requests, CHB of the
+// trace's first and last labels on the analyze or the witness endpoint,
+// each bounded by the count measured with Go 1.24 plus a little headroom:
+// 350, 255, 261 and 346. Before pair requests read the closure, detected
+// symmetry only when they searched and wrote their bodies in one pass,
+// the counts were 348, 305, 480 and 515. For the barrier-ring5 pair, when
+// a synchronous request still logged a second line for its job, the
+// count was 389, and when encoding/json wrote the envelope, 349 to 350.
+var pairRequestAllocRows = []struct {
+	name, trace, endpoint string
+	bound                 float64
+}{
+	{"barrier-ring5 pair", "barrier-ring5", "/v1/analyze", 352},
+	{"forkjoin5 pair", "forkjoin5", "/v1/analyze", 258},
+	{"forkjoin5 witness", "forkjoin5", "/v1/witness", 264},
+	{"barrier-ring5 witness", "barrier-ring5", "/v1/witness", 349},
+}
 
-// TestPairRequestAllocs bounds the allocations of a whole synchronous pair
-// request through the handler: decode, resolve, the pair search, encode
-// and the request's log line, with the result cache unable to hold the
-// result, so every request is fresh.
+// TestPairRequestAllocs bounds the allocations of whole synchronous pair
+// and witness requests through the handler: decode, resolve, the
+// analyzer and its closure, the pair query or the search, encode and the
+// request's log line, with the result cache unable to hold the result, so
+// every request is fresh. forkjoin5 is certified, so its queries read the
+// closure; barrier-ring5's search.
 func TestPairRequestAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector changes allocation counts: sync.Pool drops items at random")
 	}
-	x, err := traceio.LoadExecution(bytes.NewReader(ingestTraces(t)["barrier-ring5"]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := x.Labels()
-	body, err := json.Marshal(AnalyzeRequest{
-		ExecutionSource: ExecutionSource{Execution: compactTrace(t, x)},
-		Rel:             "CHB", A: labels[0], B: labels[len(labels)-1],
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := ingestTraces(t)
 	// A one-byte budget caches nothing: every body is larger.
 	srv, err := New(Config{Workers: 1, CacheBytes: 1})
 	if err != nil {
@@ -120,28 +123,46 @@ func TestPairRequestAllocs(t *testing.T) {
 	}
 	defer srv.Shutdown(context.Background())
 	h := srv.Handler()
-	allocs := testing.AllocsPerRun(50, func() {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
-		if w.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", w.Code, w.Body)
-		}
-	})
-	t.Logf("CHB(%s, %s) on barrier-ring5: %.0f allocs per request", labels[0], labels[len(labels)-1], allocs)
-	if allocs > pairRequestAllocBound {
-		t.Errorf("a pair request made %.0f allocations, bound %d", allocs, pairRequestAllocBound)
+	for _, row := range pairRequestAllocRows {
+		t.Run(row.name, func(t *testing.T) {
+			x, err := traceio.LoadExecution(bytes.NewReader(traces[row.trace]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels := x.Labels()
+			body, err := json.Marshal(WitnessRequest{
+				ExecutionSource: ExecutionSource{Execution: compactTrace(t, x)},
+				Rel:             "CHB", A: labels[0], B: labels[len(labels)-1],
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, row.endpoint, bytes.NewReader(body)))
+				if w.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", w.Code, w.Body)
+				}
+			})
+			t.Logf("CHB(%s, %s): %.0f allocs per request", labels[0], labels[len(labels)-1], allocs)
+			if allocs > row.bound {
+				t.Errorf("the request made %.0f allocations, bound %.0f", allocs, row.bound)
+			}
+		})
 	}
 }
 
 // matrixRequestAllocBounds bound TestMatrixRequestAllocs: the counts
-// measured with Go 1.24 (468 to 470 and 715) plus a little headroom.
-// Encoding the body with encoding/json, which built a [][2]int per
-// relation and formatted every event name with fmt, made them 789 and
-// 1,292; planning with HMW, vector clocks and an endpoint DAG, 648 and
-// 1,093; building a second analyzer for the job, and searching
+// measured with Go 1.24 (463 to 464 and 674 to 675) plus a little
+// headroom. Encoding the body with encoding/json, which built a [][2]int
+// per relation and formatted every event name with fmt, made them 789
+// and 1,292; planning with HMW, vector clocks and an endpoint DAG, 648
+// and 1,093; building a second analyzer for the job, and searching
 // burst.evo, which the completeness certificate now decides, 521 and
-// 797.
-var matrixRequestAllocBounds = map[string]float64{"figure1.evo": 480, "burst.evo": 725}
+// 797; detecting symmetry on burst.evo, which does not search, and
+// building the plan_pairs_<tier> and queue_wait_seconds_<lane> metric
+// names per request, 467 to 469 and 714.
+var matrixRequestAllocBounds = map[string]float64{"figure1.evo": 467, "burst.evo": 678}
 
 // TestMatrixRequestAllocs bounds the allocations of a whole synchronous
 // all-six matrix request for a program through the handler: decode, the

@@ -81,9 +81,10 @@ type job struct {
 	err  error
 }
 
-// submit admits j without blocking. A planner-decided job (LaneFast) runs
-// to completion on the calling goroutine: its work is polynomial, and the
-// caller already planned it there. Every other job goes to the worker
+// submit admits j without blocking. A fast-lane job (LaneFast: planner-
+// decided, or a pair query on a certified execution) runs to completion
+// on the calling goroutine: its work is polynomial, and the caller already
+// planned it, or closed its constraint graph, there. Every other job goes to the worker
 // pool's queue. submit fails with errQueueFull when that queue is at
 // capacity and errDraining when the server no longer accepts work.
 func (s *Server) submit(j *job) error {
@@ -131,15 +132,20 @@ func (s *Server) worker() {
 	}
 }
 
+// queueWaitNames are the queue_wait_seconds_<lane> histogram names of the
+// fast and the heavy lane, built once so that a job's observation
+// concatenates no strings.
+var queueWaitNames = [2]string{MetricQueueWait + "_" + LaneFast, MetricQueueWait + "_" + LaneHeavy}
+
 func (s *Server) runJob(j *job) {
 	defer s.queueDepth.Add(-1)
 	defer j.cancel()
 	wait := time.Since(j.submitted)
-	lane := j.lane
-	if lane == "" {
-		lane = LaneHeavy
+	name := queueWaitNames[1]
+	if j.lane == LaneFast {
+		name = queueWaitNames[0]
 	}
-	s.metrics.Histogram(MetricQueueWait+"_"+lane, queueWaitBounds).Observe(wait.Seconds())
+	s.metrics.Histogram(name, queueWaitBounds).Observe(wait.Seconds())
 	if j.tracer != nil {
 		j.tracer.setQueueWait(wait)
 	}

@@ -73,9 +73,12 @@ const (
 	// plan_pairs_dag, and plan_pairs_exact for the residue the
 	// exponential engine had to settle).
 	MetricPlanPairs = "plan_pairs"
-	// MetricSymmClasses gauges the process-symmetry class count the most
-	// recent analysis detected (0 when the trace has no provable
-	// automorphisms or symmetry is disabled).
+	// MetricSymmClasses gauges the process-symmetry class count of the
+	// most recent job: a job's first search runs the detector, so the
+	// gauge reads the classes of the last job that searched, and 0 for a
+	// job that did not (one the plan or the closure answered, as on a
+	// certified execution), for a trace with no provable automorphisms,
+	// and with symmetry disabled.
 	MetricSymmClasses = "symm_classes"
 	// MetricSymmCollapses sums core.Stats.SymmCollapses across all
 	// finished jobs: completion-memo probes whose state key the symmetry
@@ -106,7 +109,8 @@ const (
 	// checkpoint instead of queueing toward their full deadline).
 	MetricJobsShed = "jobs_shed"
 	// MetricJobsFastLane counts fast-lane jobs: planner-decided matrix
-	// queries, run on their request's goroutine instead of the pool.
+	// queries, and pair and witness queries on certified executions, run
+	// on their request's goroutine instead of the pool.
 	MetricJobsFastLane = "jobs_fast_lane"
 	// MetricShedMode gauges whether the server is currently degrading
 	// anytime requests (1 when the heavy queue is at or past the shed

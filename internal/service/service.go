@@ -264,8 +264,8 @@ func (s *Server) preregisterMetrics() {
 	} {
 		s.metrics.Counter(name)
 	}
-	for t := plan.TierStatic; t <= plan.TierExact; t++ {
-		s.metrics.Counter(MetricPlanPairs + "_" + t.String())
+	for _, name := range planPairsNames {
+		s.metrics.Counter(name)
 	}
 	for _, name := range []string{
 		MetricQueueDepth, MetricJobsRunning, MetricCacheBytes,
@@ -279,8 +279,8 @@ func (s *Server) preregisterMetrics() {
 		s.metrics.Counter(MetricRequests + "_" + endpoint)
 		s.metrics.Histogram(MetricLatency+"_"+endpoint, latencyBounds)
 	}
-	for _, lane := range []string{LaneFast, LaneHeavy} {
-		s.metrics.Histogram(MetricQueueWait+"_"+lane, queueWaitBounds)
+	for _, name := range queueWaitNames {
+		s.metrics.Histogram(name, queueWaitBounds)
 	}
 	s.metrics.Histogram(MetricExploredNodes, nodeBounds)
 }
@@ -1080,11 +1080,12 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 		// Labels are client strings that may contain '|', so they are
 		// quoted to keep the descriptor unambiguous.
 		key := cacheKey(digest, fmt.Sprintf("analyze|pair|rel=%s|a=%q|b=%q|ignoreData=%t", kind, req.A, req.B, req.IgnoreData))
-		return dispatchOpts{key: key, async: req.Async, timeoutMs: req.TimeoutMs, endpoint: "analyze", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
-			an, err := s.newAnalyzer(x, opts)
-			if err != nil {
-				return jobOutput{}, err
-			}
+		var an *core.Analyzer
+		admit := func() (lane string, err error) {
+			an, lane, err = s.admitPair(x, opts)
+			return lane, err
+		}
+		return dispatchOpts{key: key, async: req.Async, timeoutMs: req.TimeoutMs, admit: admit, endpoint: "analyze", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
 			var holds bool
 			if err := tr.timePhase("decide", func() error {
 				var derr error
@@ -1093,13 +1094,9 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest, tr *tracer) (dispatchOpts, 
 			}); err != nil {
 				return jobOutput{}, err
 			}
-			s.observeMemo(an)
-			s.metrics.Histogram(MetricExploredNodes, nodeBounds).Observe(float64(an.Stats().Nodes))
-			body, err := json.Marshal(PairResult{
-				Rel: kind.String(), A: req.A, B: req.B,
-				Verdict: core.VerdictOf(holds), Nodes: an.Stats().Nodes,
-			})
-			return jobOutput{body: body, cacheable: true, complete: true}, err
+			st := s.observeMemo(an)
+			body := encodePairResult(kind.String(), req.A, req.B, core.VerdictOf(holds), st.Nodes)
+			return jobOutput{body: body, cacheable: true, complete: true}, nil
 		}}, nil
 	}
 
@@ -1220,13 +1217,22 @@ func causeName(err error) string {
 	return err.Error()
 }
 
+// planPairsNames are the plan_pairs_<tier> counter names, by tier, built
+// once so that observing a plan concatenates no strings.
+var planPairsNames = func() (names [plan.TierExact + 1]string) {
+	for t := range names {
+		names[t] = MetricPlanPairs + "_" + plan.Tier(t).String()
+	}
+	return names
+}()
+
 // observePlan accumulates per-tier decided-pair counters across matrix
 // jobs, making the planner's leverage visible on /metrics.
 func (s *Server) observePlan(p *plan.Plan) {
 	for _, st := range p.Tiers {
-		s.metrics.Counter(MetricPlanPairs + "_" + st.Tier.String()).Add(int64(st.PairsDecided))
+		s.metrics.Counter(planPairsNames[st.Tier]).Add(int64(st.PairsDecided))
 	}
-	s.metrics.Counter(MetricPlanPairs + "_" + plan.TierExact.String()).Add(int64(p.Residue))
+	s.metrics.Counter(planPairsNames[plan.TierExact]).Add(int64(p.Residue))
 }
 
 func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
@@ -1340,11 +1346,12 @@ func (s *Server) prepareWitness(req *WitnessRequest, tr *tracer) (dispatchOpts, 
 	}
 	opts := core.Options{IgnoreData: req.IgnoreData, MaxNodes: s.nodeBudget(req.Budget)}
 	key := cacheKey(digest, fmt.Sprintf("witness|rel=%s|a=%q|b=%q|ignoreData=%t", kind, req.A, req.B, req.IgnoreData))
-	return dispatchOpts{key: key, async: req.Async, timeoutMs: req.TimeoutMs, endpoint: "witness", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
-		an, err := s.newAnalyzer(x, opts)
-		if err != nil {
-			return jobOutput{}, err
-		}
+	var an *core.Analyzer
+	admit := func() (lane string, err error) {
+		an, lane, err = s.admitPair(x, opts)
+		return lane, err
+	}
+	return dispatchOpts{key: key, async: req.Async, timeoutMs: req.TimeoutMs, admit: admit, endpoint: "witness", reqJSON: reqJSON, tracer: tr, run: func(ctx context.Context) (jobOutput, error) {
 		var wit core.Witness
 		if err := tr.timePhase("witness", func() error {
 			var werr error
@@ -1354,23 +1361,39 @@ func (s *Server) prepareWitness(req *WitnessRequest, tr *tracer) (dispatchOpts, 
 			return jobOutput{}, err
 		}
 		s.observeMemo(an)
-		s.metrics.Histogram(MetricExploredNodes, nodeBounds).Observe(float64(an.Stats().Nodes))
-		body, err := json.Marshal(WitnessResult{
-			Rel: kind.String(), A: req.A, B: req.B,
-			Verdict: core.VerdictOf(wit.Holds),
-			Steps:   core.FormatSteps(x, wit.Steps),
-		})
-		return jobOutput{body: body, cacheable: true, complete: true}, err
+		body := encodeWitnessResult(x, kind.String(), req.A, req.B, core.VerdictOf(wit.Holds), wit.Steps)
+		return jobOutput{body: body, cacheable: true, complete: true}, nil
 	}}, nil
 }
 
-// observeMemo exports a finished search job's completion-memo occupancy:
-// the gauges sample the most recent job's table (each job owns a private
-// analyzer), the grow counter accumulates across jobs. Together with the
-// cache and queue metrics this makes memo-table pressure — the dominant
-// memory consumer of a hard query — visible on /metrics.
-func (s *Server) observeMemo(an *core.Analyzer) {
-	s.observeMemoStats(an.Stats())
+// admitPair is the admit step of a pair or witness request (the matrix
+// path's, DESIGN S44): on a cache miss it builds the job's one analyzer on
+// the request goroutine and closes its constraint graph, which evaluates
+// the completeness certificate. A certified execution answers every pair
+// query from the closure with no search (DESIGN S45), so its job runs in
+// the fast lane; any other job takes the analyzer to a worker.
+func (s *Server) admitPair(x *model.Execution, opts core.Options) (*core.Analyzer, string, error) {
+	an, err := s.newAnalyzer(x, opts)
+	if err != nil {
+		return nil, LaneHeavy, err
+	}
+	if an.Certified() {
+		return an, LaneFast, nil
+	}
+	return an, LaneHeavy, nil
+}
+
+// observeMemo exports a finished pair or witness job's search statistics,
+// which it returns: its completion-memo occupancy, where the gauges sample
+// the most recent job's table (each job owns a private analyzer) and the
+// grow counter accumulates across jobs, and its explored nodes. Together
+// with the cache and queue metrics this makes memo-table pressure — the
+// dominant memory consumer of a hard query — visible on /metrics.
+func (s *Server) observeMemo(an *core.Analyzer) core.Stats {
+	st := an.Stats()
+	s.observeMemoStats(st)
+	s.metrics.Histogram(MetricExploredNodes, nodeBounds).Observe(float64(st.Nodes))
+	return st
 }
 
 // observeMemoStats is observeMemo for callers that only hold the stats

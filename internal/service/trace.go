@@ -81,8 +81,9 @@ type TraceInfo struct {
 const (
 	// LaneCache marks responses served from the result cache.
 	LaneCache = "cache"
-	// LaneFast marks planner-decided requests answered on their own
-	// goroutine, without entering the worker pool's queue.
+	// LaneFast marks requests answered on their own goroutine, without
+	// entering the worker pool's queue: planner-decided matrix requests,
+	// and pair and witness requests on certified executions.
 	LaneFast = "fast"
 	// LaneHeavy marks requests served by the worker pool.
 	LaneHeavy = "heavy"
